@@ -623,8 +623,8 @@ let tracefmt_scale ~jobs () =
                     experiment-scale runs; a 10^8-event capture is
                     legitimately ~50x that *)
                  match
-                   Interp.run_cells ~max_steps:max_int prog ~nprocs
-                     ~cells:(Ct.Writer.recorder wr)
+                   Interp.run_packed ~max_steps:max_int prog ~nprocs
+                     ~sink:(Ct.Writer.push wr)
                  with
                  | _ -> Ct.Writer.close wr
                  | exception e ->

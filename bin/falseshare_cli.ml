@@ -48,8 +48,21 @@ let wconv =
 let workload_arg =
   Arg.(required & pos 0 (some wconv) None & info [] ~docv:"WORKLOAD")
 
+(* every trace event packs its processor id into 8 bits: refuse other
+   counts here as a usage error rather than deep inside a run *)
+let nprocs_conv =
+  let max = Fs_trace.Cell_event.max_proc + 1 in
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 && n <= max -> Ok n
+        | Some n ->
+          Error (`Msg (Printf.sprintf "processor count %d out of range [1,%d]" n max))
+        | None -> Error (`Msg (Printf.sprintf "invalid processor count %S" s))),
+      Format.pp_print_int )
+
 let nprocs_arg =
-  Arg.(value & opt int 12 & info [ "p"; "procs" ] ~docv:"P" ~doc:"Processor count.")
+  Arg.(value & opt nprocs_conv 12 & info [ "p"; "procs" ] ~docv:"P" ~doc:"Processor count.")
 
 let scale_arg =
   Arg.(value & opt (some int) None & info [ "s"; "scale" ] ~docv:"N" ~doc:"Problem scale.")
@@ -614,7 +627,7 @@ let check_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.parc")
   in
   let procs_for_run =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some nprocs_conv) None
          & info [ "run" ] ~docv:"P" ~doc:"Also execute with P processes.")
   in
   let run file procs json () =
@@ -913,8 +926,8 @@ let trace_record_cmd =
        legitimately push a capture past the default nontermination
        guard, so run unguarded *)
     (match
-       Fs_interp.Interp.run_cells ~max_steps:max_int ?sched prog ~nprocs
-         ~cells:(Ct.Writer.recorder wr)
+       Fs_interp.Interp.run_packed ~max_steps:max_int ?sched prog ~nprocs
+         ~sink:(Ct.Writer.push wr)
      with
     | _ -> Ct.Writer.close wr
     | exception e ->

@@ -2,6 +2,7 @@ module Ast = Fs_ir.Ast
 module Cells = Fs_ir.Cells
 module Layout = Fs_layout.Layout
 module Listener = Fs_trace.Listener
+module Cell_event = Fs_trace.Cell_event
 module Cell_listener = Fs_trace.Cell_listener
 module Cell_trace = Fs_trace.Cell_trace
 module Sched = Fs_sched.Sched
@@ -30,15 +31,25 @@ type _ Effect.t += Barrier_wait : unit Effect.t
 type _ Effect.t += Lock_acq : (int * int) -> unit Effect.t
 type _ Effect.t += Lock_rel : (int * int) -> unit Effect.t
 
-exception Return_of of Value.t option
+(* A [return] unwinds to its activation with one of these constant
+   exceptions; a returned value travels in the context's result
+   registers ([ret_int] or [ret_val], by the function's result class).
+   Nothing can run between the raise and the caller's read of the
+   register, so one register pair serves every process. *)
+exception Return_value
+exception Return_void
 
 (* ------------------------------------------------------------------ *)
 (* Run context and per-process environments.                           *)
 
+(* A global's cells live unboxed in [ints] when its storage class is
+   [I]; otherwise boxed in [vals].  The other array is empty. *)
 type ginfo = {
   gty : Ast.ty;
   vid : int;                  (* variable id: index in declaration order *)
-  values : Value.t array;     (* cell id -> current value *)
+  boxed : bool;               (* storage class V *)
+  ints : int array;
+  vals : Value.t array;
 }
 
 (* One activation frame per function invocation (entry, call, or task).
@@ -47,14 +58,17 @@ type ginfo = {
    which spawned nothing still steal. *)
 type frame = { mutable fpending : int; fentry : bool }
 
-type env = { proc : int; privs : Value.t array; frame : frame }
+(* A function's private slots, split by storage class. *)
+type env = { proc : int; ints : int array; vals : Value.t array; frame : frame }
 
-type compiled_fun = env -> Value.t option
+(* [true] when the activation returned a value (in the result register
+   of the function's class). *)
+type compiled_fun = env -> bool
 
 type task = {
   t_id : int;
   t_cf : compiled_fun ref;
-  t_args : Value.t array;
+  t_args : env;               (* the callee's slots, arguments filled in *)
   t_frame : frame;            (* spawning activation, for the join count *)
 }
 
@@ -85,46 +99,51 @@ type ctx = {
   nprocs : int;
   quantum : int;
   max_steps : int;
-  cells : Cell_listener.t;
+  sink : int -> unit;         (* packed Cell_event stream *)
   ginfos : (string, ginfo) Hashtbl.t;
   sched : sched_state option;
-  pending : int array;        (* work units since last yield, per proc *)
-  workpend : int array;       (* work units since last cells.work flush *)
-  work : int array;
+  work : int array;           (* monotone work units per proc *)
+  ymark : int array;          (* [work] at the proc's last scheduling point *)
+  fmark : int array;          (* [work] already reported in Work events *)
   accesses : int array;
   mutable total : int;
   mutable barrier_episodes : int;
+  mutable ret_int : int;
+  mutable ret_val : Value.t;
 }
 
 let err fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
 let flush_work ctx proc =
-  let w = ctx.workpend.(proc) in
-  if w > 0 then begin
-    ctx.workpend.(proc) <- 0;
-    ctx.cells.Cell_listener.work ~proc ~amount:w
+  let w = ctx.work.(proc) in
+  let amount = w - ctx.fmark.(proc) in
+  if amount > 0 then begin
+    ctx.fmark.(proc) <- w;
+    ctx.sink (Cell_event.pack_work ~proc ~amount)
   end
 
 let tick ctx proc w =
-  ctx.total <- ctx.total + w;
-  if ctx.total > ctx.max_steps then
+  let total = ctx.total + w in
+  ctx.total <- total;
+  if total > ctx.max_steps then
     raise (Nontermination (Printf.sprintf "exceeded %d work units" ctx.max_steps));
-  ctx.work.(proc) <- ctx.work.(proc) + w;
-  ctx.workpend.(proc) <- ctx.workpend.(proc) + w;
-  let p = ctx.pending.(proc) + w in
-  if p >= ctx.quantum then begin
-    ctx.pending.(proc) <- 0;
+  let wp = ctx.work.(proc) + w in
+  ctx.work.(proc) <- wp;
+  if wp - ctx.ymark.(proc) >= ctx.quantum then begin
+    ctx.ymark.(proc) <- wp;
     Effect.perform Yield
   end
-  else ctx.pending.(proc) <- p
 
 let access_cost = 3
 
 let emit ctx g ~write ~proc cell =
   flush_work ctx proc;
   ctx.accesses.(proc) <- ctx.accesses.(proc) + 1;
-  ctx.cells.Cell_listener.access ~proc ~write ~var:g.vid ~cell;
+  ctx.sink (Cell_event.pack_access ~write ~proc ~var:g.vid ~cell);
   tick ctx proc access_cost
+
+(* runtime-generated ints (lock words, deque indices) fit either class *)
+let set_int g cell n = if g.boxed then g.vals.(cell) <- Value.Vint n else g.ints.(cell) <- n
 
 (* ------------------------------------------------------------------ *)
 (* The work-stealing task runtime behind [spawn]/[sync].
@@ -146,35 +165,35 @@ let new_frame fentry = { fpending = 0; fentry }
 
 let[@inline] deq_cell s p idx = (p * s.s_cap) + (idx mod s.s_cap)
 
-let run_task _ctx s env (t : task) =
-  ignore (!(t.t_cf) { proc = env.proc; privs = t.t_args; frame = new_frame false });
+let run_task s env (t : task) =
+  ignore (!(t.t_cf) { t.t_args with proc = env.proc; frame = new_frame false });
   t.t_frame.fpending <- t.t_frame.fpending - 1;
   s.s_outstanding <- s.s_outstanding - 1
 
-let spawn_task ctx s env (cf : compiled_fun ref) argv =
+let spawn_task ctx s env (cf : compiled_fun ref) args =
   let p = env.proc in
   s.s_tasks_n <- s.s_tasks_n + 1;
   if s.s_bot.(p) - s.s_top.(p) >= s.s_cap then begin
     (* deque full: run in place — the fullness probe still reads top *)
     s.s_inline <- s.s_inline + 1;
     emit ctx s.s_g_top ~write:false ~proc:p p;
-    ignore (!cf { proc = p; privs = argv; frame = new_frame false })
+    ignore (!cf { args with frame = new_frame false })
   end
   else begin
     let id = s.s_next_id in
     s.s_next_id <- id + 1;
     let b = s.s_bot.(p) in
     s.s_deque.(p).(b mod s.s_cap) <-
-      Some { t_id = id; t_cf = cf; t_args = argv; t_frame = env.frame };
+      Some { t_id = id; t_cf = cf; t_args = args; t_frame = env.frame };
     s.s_bot.(p) <- b + 1;
     env.frame.fpending <- env.frame.fpending + 1;
     s.s_outstanding <- s.s_outstanding + 1;
     (* push: fullness check reads top, then the slot and bottom writes *)
     emit ctx s.s_g_top ~write:false ~proc:p p;
     let cell = deq_cell s p b in
-    s.s_g_deq.values.(cell) <- Value.Vint id;
+    set_int s.s_g_deq cell id;
     emit ctx s.s_g_deq ~write:true ~proc:p cell;
-    s.s_g_bot.values.(p) <- Value.Vint (b + 1);
+    set_int s.s_g_bot p (b + 1);
     emit ctx s.s_g_bot ~write:true ~proc:p p
   end
 
@@ -186,7 +205,7 @@ let pop_own ctx s p =
     let t = s.s_deque.(p).(b mod s.s_cap) in
     s.s_deque.(p).(b mod s.s_cap) <- None;
     (* owner pop: bottom write, top race check, slot read *)
-    s.s_g_bot.values.(p) <- Value.Vint b;
+    set_int s.s_g_bot p b;
     emit ctx s.s_g_bot ~write:true ~proc:p p;
     emit ctx s.s_g_top ~write:false ~proc:p p;
     emit ctx s.s_g_deq ~write:false ~proc:p (deq_cell s p b);
@@ -209,13 +228,13 @@ let steal_from ctx s ~thief ~victim =
     emit ctx s.s_g_top ~write:false ~proc:thief victim;
     emit ctx s.s_g_bot ~write:false ~proc:thief victim;
     emit ctx s.s_g_deq ~write:false ~proc:thief (deq_cell s victim tp);
-    s.s_g_top.values.(victim) <- Value.Vint (tp + 1);
+    set_int s.s_g_top victim (tp + 1);
     emit ctx s.s_g_top ~write:true ~proc:thief victim;
     (match t with
      | Some t ->
        s.s_steals <- s.s_steals + 1;
        flush_work ctx thief;
-       ctx.cells.Cell_listener.steal ~thief ~victim ~task:t.t_id
+       ctx.sink (Cell_event.pack (Steal { thief; victim; task = t.t_id }))
      | None -> ());
     t
   end
@@ -250,27 +269,80 @@ let rec sched_sync ctx s env =
   in
   if not (done_ ()) then begin
     (match pop_own ctx s env.proc with
-     | Some t -> run_task ctx s env t
+     | Some t -> run_task s env t
      | None -> (
        match try_steal ctx s env.proc with
-       | Some t -> run_task ctx s env t
+       | Some t -> run_task s env t
        | None ->
          (* nothing visible to run: burn a unit and let the others go *)
          tick ctx env.proc 1;
-         ctx.pending.(env.proc) <- 0;
+         ctx.ymark.(env.proc) <- ctx.work.(env.proc);
          Effect.perform Yield));
     sched_sync ctx s env
   end
 
 (* ------------------------------------------------------------------ *)
-(* Compilation of the AST to closures.                                 *)
+(* Compilation of the AST to closures.
+
+   Every expression compiles by its storage class ({!Storage}): [CI] to
+   an unboxed [env -> int], [CV] to a boxed [env -> Value.t] with the
+   dynamic semantics of {!Value}.  Each case below mirrors one of
+   Storage's rules, so an [I] slot or global only ever receives a [CI].
+
+   Evaluation order is part of the trace contract: binary operands
+   evaluate right to left (the order [Value.binop op (c1 env) (c2 env)]
+   has under ocamlopt), [&&]/[||] left to right with short circuit, call
+   arguments left to right. *)
+
+type cexpr = CI of (env -> int) | CV of (env -> Value.t)
+
+let boxed = function CI f -> fun env -> Value.Vint (f env) | CV f -> f
+
+let unboxed = function CI f -> f | CV f -> fun env -> Value.to_int (f env)
+
+let truth = function
+  | CI f -> fun env -> f env <> 0
+  | CV f -> fun env -> Value.truthy (f env)
+
+let int_binop (op : Ast.binop) a b =
+  match op with
+  | Add -> fun env -> let y = b env in a env + y
+  | Sub -> fun env -> let y = b env in a env - y
+  | Mul -> fun env -> let y = b env in a env * y
+  | Div -> fun env -> let y = b env in a env / y
+  | Mod -> fun env -> let y = b env in a env mod y
+  | Eq -> fun env -> let y = b env in if a env = y then 1 else 0
+  | Ne -> fun env -> let y = b env in if a env <> y then 1 else 0
+  | Lt -> fun env -> let y = b env in if a env < y then 1 else 0
+  | Le -> fun env -> let y = b env in if a env <= y then 1 else 0
+  | Gt -> fun env -> let y = b env in if a env > y then 1 else 0
+  | Ge -> fun env -> let y = b env in if a env >= y then 1 else 0
+  | Min -> fun env -> let y = b env in let x = a env in if x <= y then x else y
+  | Max -> fun env -> let y = b env in let x = a env in if x >= y then x else y
+  | And | Or -> assert false (* short-circuit; compiled separately *)
 
 (* Private variables of a function are slot-allocated, flow-insensitively:
    one slot per distinct name among parameters, [Decl]s, [For] variables
-   and call-return targets. *)
-let slot_table (f : Ast.func) =
-  let slots = Hashtbl.create 16 in
-  let add n = if not (Hashtbl.mem slots n) then Hashtbl.add slots n (Hashtbl.length slots) in
+   and call-return targets, numbered within its storage class. *)
+type slots = {
+  table : (string, Storage.cls * int) Hashtbl.t;
+  nints : int;
+  nvals : int;
+  params : (Storage.cls * int) array;
+  result : Storage.cls;
+}
+
+let slot_table classes (f : Ast.func) =
+  let table = Hashtbl.create 16 in
+  let nints = ref 0 and nvals = ref 0 in
+  let add n =
+    if not (Hashtbl.mem table n) then begin
+      let cls = Storage.private_ classes ~fname:f.fname n in
+      let counter = match cls with I -> nints | V -> nvals in
+      Hashtbl.add table n (cls, !counter);
+      incr counter
+    end
+  in
   List.iter add f.params;
   Ast.iter_stmts
     (fun s ->
@@ -278,61 +350,97 @@ let slot_table (f : Ast.func) =
       | Ast.Decl (n, _) | Ast.For (n, _, _, _) | Ast.Call { ret = Some n; _ } -> add n
       | _ -> ())
     f.body;
-  slots
+  {
+    table;
+    nints = !nints;
+    nvals = !nvals;
+    params = Array.of_list (List.map (Hashtbl.find table) f.params);
+    result = Storage.result classes f.fname;
+  }
 
-let compile ctx =
+let compile ctx classes =
   let prog = ctx.prog in
-  let funs : (string, compiled_fun ref) Hashtbl.t = Hashtbl.create 16 in
+  let funs : (string, compiled_fun ref * slots) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (f : Ast.func) ->
-      Hashtbl.add funs f.fname (ref (fun _ -> err "function %s not yet compiled" f.fname)))
+      Hashtbl.add funs f.fname
+        (ref (fun _ -> err "function %s not yet compiled" f.fname), slot_table classes f))
     prog.funcs;
+  let callee_of what callee =
+    match Hashtbl.find_opt funs callee with
+    | Some r -> r
+    | None -> err "%s unknown function %s" what callee
+  in
   let ginfo name =
     match Hashtbl.find_opt ctx.ginfos name with
     | Some g -> g
     | None -> err "unknown global %s" name
   in
-  let compile_func (f : Ast.func) =
-    let slots = slot_table f in
-    let nslots = Hashtbl.length slots in
+  let compile_func (f : Ast.func) (sl : slots) =
     let slot n =
-      match Hashtbl.find_opt slots n with
+      match Hashtbl.find_opt sl.table n with
       | Some s -> s
       | None -> err "undeclared private %s in %s" n f.fname
     in
-    let rec compile_expr (e : Ast.expr) : env -> Value.t =
+    (* Storage's joins rule this out: a [CV] never meets an [I] location *)
+    let float_into what = err "storage class: float %s in %s" what f.fname in
+    let rec compile_expr (e : Ast.expr) : cexpr =
       match e with
-      | Int_lit n ->
-        let v = Value.Vint n in
-        fun _ -> v
+      | Int_lit n -> CI (fun _ -> n)
       | Float_lit x ->
         let v = Value.Vfloat x in
-        fun _ -> v
-      | Pdv -> fun env -> Value.Vint env.proc
+        CV (fun _ -> v)
+      | Pdv -> CI (fun env -> env.proc)
       | Nprocs ->
-        let v = Value.Vint ctx.nprocs in
-        fun _ -> v
-      | Priv n ->
-        let s = slot n in
-        fun env -> env.privs.(s)
+        let n = ctx.nprocs in
+        CI (fun _ -> n)
+      | Priv n -> (
+        match slot n with
+        | I, s -> CI (fun env -> env.ints.(s))
+        | V, s -> CV (fun env -> env.vals.(s)))
       | Load lv ->
         let g, cellf = compile_lvalue lv in
-        fun env ->
-          let cell = cellf env in
-          emit ctx g ~write:false ~proc:env.proc cell;
-          g.values.(cell)
-      | Unop (op, e) ->
-        let ce = compile_expr e in
-        fun env -> Value.unop op (ce env)
+        if g.boxed then
+          CV
+            (fun env ->
+              let cell = cellf env in
+              emit ctx g ~write:false ~proc:env.proc cell;
+              g.vals.(cell))
+        else
+          CI
+            (fun env ->
+              let cell = cellf env in
+              emit ctx g ~write:false ~proc:env.proc cell;
+              g.ints.(cell))
+      | Unop (Neg, e) -> (
+        match compile_expr e with
+        | CI f -> CI (fun env -> -f env)
+        | CV f -> CV (fun env -> Value.unop Neg (f env)))
+      | Unop (Not, e) ->
+        let t = truth (compile_expr e) in
+        CI (fun env -> if t env then 0 else 1)
       | Binop (And, e1, e2) ->
-        let c1 = compile_expr e1 and c2 = compile_expr e2 in
-        fun env -> if Value.truthy (c1 env) then Value.of_bool (Value.truthy (c2 env)) else Value.zero
+        let t1 = truth (compile_expr e1) and t2 = truth (compile_expr e2) in
+        CI (fun env -> if t1 env && t2 env then 1 else 0)
       | Binop (Or, e1, e2) ->
-        let c1 = compile_expr e1 and c2 = compile_expr e2 in
-        fun env -> if Value.truthy (c1 env) then Value.Vint 1 else Value.of_bool (Value.truthy (c2 env))
-      | Binop (op, e1, e2) ->
-        let c1 = compile_expr e1 and c2 = compile_expr e2 in
-        fun env -> Value.binop op (c1 env) (c2 env)
+        let t1 = truth (compile_expr e1) and t2 = truth (compile_expr e2) in
+        CI (fun env -> if t1 env || t2 env then 1 else 0)
+      | Binop (op, e1, e2) -> (
+        match (compile_expr e1, compile_expr e2) with
+        | CI a, CI b -> CI (int_binop op a b)
+        | c1, c2 -> (
+          let a = boxed c1 and b = boxed c2 in
+          match op with
+          | Eq | Ne | Lt | Le | Gt | Ge ->
+            CI
+              (fun env ->
+                let y = b env in
+                Value.to_int (Value.binop op (a env) y))
+          | _ ->
+            CV
+              (fun env ->
+                let y = b env in
+                Value.binop op (a env) y)))
 
     (* An lvalue compiles to its global's info plus a cell-id computation:
        constant field offsets are folded at compile time; each index
@@ -343,7 +451,7 @@ let compile ctx =
         match (ty, path) with
         | _, [] -> (const, List.rev parts)
         | Ast.Array (elt, n), Ast.Idx e :: rest ->
-          let ce = compile_expr e in
+          let ce = unboxed (compile_expr e) in
           let stride = Cells.count prog elt in
           walk elt rest const ((ce, stride, n) :: parts)
         | Ast.Struct sname, Ast.Fld fld :: rest ->
@@ -366,105 +474,153 @@ let compile ctx =
         | [] -> fun _ -> const
         | [ (ce, stride, n) ] ->
           fun env ->
-            let i = Value.to_int (ce env) in
+            let i = ce env in
             check i n;
             const + (i * stride)
         | parts ->
           let parts = Array.of_list parts in
           fun env ->
             let cell = ref const in
-            Array.iter
-              (fun (ce, stride, n) ->
-                let i = Value.to_int (ce env) in
-                check i n;
-                cell := !cell + (i * stride))
-              parts;
+            for k = 0 to Array.length parts - 1 do
+              let ce, stride, n = parts.(k) in
+              let i = ce env in
+              check i n;
+              cell := !cell + (i * stride)
+            done;
             !cell
       in
       (g, cellf)
     in
+    (* [slot <- e]: an [I] slot only ever receives a [CI] (Storage's join) *)
+    let set_slot (cls, s) (ce : cexpr) : env -> unit =
+      match (cls : Storage.cls), ce with
+      | I, CI f -> fun env -> env.ints.(s) <- f env
+      | I, CV _ -> float_into "assigned to an int slot"
+      | V, ce ->
+        let f = boxed ce in
+        fun env -> env.vals.(s) <- f env
+    in
+    (* evaluate call/spawn arguments left to right into the callee's
+       environment, its slot arrays sized to the callee's classes *)
+    let compile_args (callee : slots) args =
+      let setters =
+        Array.of_list
+          (List.mapi
+             (fun k a ->
+               match (callee.params.(k), compile_expr a) with
+               | (I, s), CI f -> fun env ints _ -> ints.(s) <- f env
+               | (I, _), CV _ -> float_into "passed to an int parameter"
+               | (V, s), ce ->
+                 let f = boxed ce in
+                 fun env _ vals -> vals.(s) <- f env)
+             args)
+      in
+      let nints = callee.nints and nvals = callee.nvals in
+      fun env frame ->
+        let ints = Array.make nints 0 and vals = Array.make nvals Value.zero in
+        for k = 0 to Array.length setters - 1 do
+          setters.(k) env ints vals
+        done;
+        { proc = env.proc; ints; vals; frame }
+    in
     let rec compile_stmt (s : Ast.stmt) : env -> unit =
       match s with
-      | Store (lv, e) ->
+      | Store (lv, e) -> (
         let g, cellf = compile_lvalue lv in
-        let ce = compile_expr e in
+        match (g.boxed, compile_expr e) with
+        | false, CI ce ->
+          fun env ->
+            tick ctx env.proc 1;
+            let cell = cellf env in
+            let v = ce env in
+            emit ctx g ~write:true ~proc:env.proc cell;
+            g.ints.(cell) <- v
+        | false, CV _ -> float_into ("stored into int global " ^ lv.base)
+        | true, ce ->
+          let ce = boxed ce in
+          fun env ->
+            tick ctx env.proc 1;
+            let cell = cellf env in
+            let v = ce env in
+            emit ctx g ~write:true ~proc:env.proc cell;
+            g.vals.(cell) <- v)
+      | Set (n, e) | Decl (n, e) ->
+        let set = set_slot (slot n) (compile_expr e) in
         fun env ->
           tick ctx env.proc 1;
-          let cell = cellf env in
-          let v = ce env in
-          emit ctx g ~write:true ~proc:env.proc cell;
-          g.values.(cell) <- v
-      | Set (n, e) ->
-        let s = slot n and ce = compile_expr e in
-        fun env ->
-          tick ctx env.proc 1;
-          env.privs.(s) <- ce env
-      | Decl (n, e) ->
-        let s = slot n and ce = compile_expr e in
-        fun env ->
-          tick ctx env.proc 1;
-          env.privs.(s) <- ce env
+          set env
       | If (c, b1, b2) ->
-        let cc = compile_expr c in
+        let cc = truth (compile_expr c) in
         let cb1 = compile_block b1 and cb2 = compile_block b2 in
         fun env ->
           tick ctx env.proc 1;
-          if Value.truthy (cc env) then cb1 env else cb2 env
+          if cc env then cb1 env else cb2 env
       | While (c, b) ->
-        let cc = compile_expr c in
+        let cc = truth (compile_expr c) in
         let cb = compile_block b in
         fun env ->
           tick ctx env.proc 1;
-          while Value.truthy (cc env) do
+          while cc env do
             cb env;
             tick ctx env.proc 1
           done
-      | For (n, lo, hi, b) ->
-        let s = slot n in
-        let clo = compile_expr lo and chi = compile_expr hi in
+      | For (n, lo, hi, b) -> (
+        let clo = unboxed (compile_expr lo) and chi = unboxed (compile_expr hi) in
         let cb = compile_block b in
-        fun env ->
-          tick ctx env.proc 1;
-          let i = ref (Value.to_int (clo env)) in
-          while !i < Value.to_int (chi env) do
-            env.privs.(s) <- Value.Vint !i;
-            cb env;
+        match slot n with
+        | I, s ->
+          fun env ->
             tick ctx env.proc 1;
-            incr i
-          done
+            let i = ref (clo env) in
+            while !i < chi env do
+              env.ints.(s) <- !i;
+              cb env;
+              tick ctx env.proc 1;
+              incr i
+            done
+        | V, s ->
+          fun env ->
+            tick ctx env.proc 1;
+            let i = ref (clo env) in
+            while !i < chi env do
+              env.vals.(s) <- Value.Vint !i;
+              cb env;
+              tick ctx env.proc 1;
+              incr i
+            done)
       | Call { ret; callee; args } ->
-        let cf =
-          match Hashtbl.find_opt funs callee with
-          | Some r -> r
-          | None -> err "call to unknown function %s" callee
+        let cf, csl = callee_of "call to" callee in
+        let cargs = compile_args csl args in
+        let no_value () = err "function %s returned no value" callee in
+        let store_result : env -> bool -> unit =
+          match (Option.map slot ret, csl.result) with
+          | None, _ -> fun _ _ -> ()
+          | Some (I, s), I ->
+            fun env returned -> if returned then env.ints.(s) <- ctx.ret_int else no_value ()
+          | Some (I, _), V -> float_into "result assigned to an int slot"
+          | Some (V, s), I ->
+            fun env returned ->
+              if returned then env.vals.(s) <- Value.Vint ctx.ret_int else no_value ()
+          | Some (V, s), V ->
+            fun env returned -> if returned then env.vals.(s) <- ctx.ret_val else no_value ()
         in
-        let cargs = Array.of_list (List.map compile_expr args) in
-        let rslot = Option.map (fun n -> slot n) ret in
         fun env ->
           tick ctx env.proc 1;
-          let argv = Array.map (fun ce -> ce env) cargs in
-          let callee_frame =
+          let frame =
             (* frames only matter to the task runtime; without it, reusing
                the caller's frame saves an allocation per call *)
             match ctx.sched with None -> env.frame | Some _ -> new_frame false
           in
-          let res = !cf { proc = env.proc; privs = argv; frame = callee_frame } in
-          (match (rslot, res) with
-           | None, _ -> ()
-           | Some s, Some v -> env.privs.(s) <- v
-           | Some _, None -> err "function %s returned no value" callee)
+          store_result env (!cf (cargs env frame))
       | Spawn { callee; args } ->
-        let cf =
-          match Hashtbl.find_opt funs callee with
-          | Some r -> r
-          | None -> err "spawn of unknown function %s" callee
-        in
-        let cargs = Array.of_list (List.map compile_expr args) in
+        let cf, csl = callee_of "spawn of" callee in
+        let cargs = compile_args csl args in
         fun env ->
           tick ctx env.proc 1;
-          let argv = Array.map (fun ce -> ce env) cargs in
+          (* the frame is replaced by whichever activation runs the task *)
+          let args = cargs env env.frame in
           (match ctx.sched with
-           | Some s -> spawn_task ctx s env cf argv
+           | Some s -> spawn_task ctx s env cf args
            | None -> err "spawn executed without an active scheduler")
       | Sync ->
         fun env ->
@@ -472,16 +628,29 @@ let compile ctx =
           (match ctx.sched with
            | Some s -> sched_sync ctx s env
            | None -> err "sync executed without an active scheduler")
-      | Return e ->
-        let ce = Option.map compile_expr e in
+      | Return None ->
         fun env ->
           tick ctx env.proc 1;
-          raise (Return_of (Option.map (fun ce -> ce env) ce))
+          raise_notrace Return_void
+      | Return (Some e) -> (
+        match (sl.result, compile_expr e) with
+        | I, CI ce ->
+          fun env ->
+            tick ctx env.proc 1;
+            ctx.ret_int <- ce env;
+            raise_notrace Return_value
+        | I, CV _ -> float_into "returned from an int function"
+        | V, ce ->
+          let ce = boxed ce in
+          fun env ->
+            tick ctx env.proc 1;
+            ctx.ret_val <- ce env;
+            raise_notrace Return_value)
       | Barrier ->
         fun env ->
           tick ctx env.proc 1;
           flush_work ctx env.proc;
-          ctx.cells.Cell_listener.barrier_arrive ~proc:env.proc;
+          ctx.sink (Cell_event.pack (Barrier_arrive { proc = env.proc }));
           Effect.perform Barrier_wait
       | Lock lv ->
         let g, cellf = compile_lvalue lv in
@@ -494,37 +663,36 @@ let compile ctx =
           (* granted: the re-read after invalidation and the acquiring write *)
           emit ctx g ~write:false ~proc:env.proc cell;
           emit ctx g ~write:true ~proc:env.proc cell;
-          g.values.(cell) <- Value.Vint 1
+          set_int g cell 1
       | Unlock lv ->
         let g, cellf = compile_lvalue lv in
         fun env ->
           tick ctx env.proc 1;
           let cell = cellf env in
           emit ctx g ~write:true ~proc:env.proc cell;
-          g.values.(cell) <- Value.Vint 0;
+          set_int g cell 0;
           Effect.perform (Lock_rel (g.vid, cell))
     and compile_block (b : Ast.block) : env -> unit =
-      let stmts = Array.of_list (List.map compile_stmt b) in
-      fun env -> Array.iter (fun cs -> cs env) stmts
+      match Array.of_list (List.map compile_stmt b) with
+      | [||] -> fun _ -> ()
+      | [| s |] -> s
+      | stmts ->
+        fun env ->
+          for k = 0 to Array.length stmts - 1 do
+            stmts.(k) env
+          done
     in
     let cbody = compile_block f.body in
-    let nparams = List.length f.params in
     fun (env : env) ->
-      (* The caller passes evaluated arguments as the privs array; grow it
-         to the function's full slot count. *)
-      let privs =
-        if Array.length env.privs = nslots then env.privs
-        else begin
-          let a = Array.make nslots Value.zero in
-          Array.blit env.privs 0 a 0 (min nparams (Array.length env.privs));
-          a
-        end
-      in
-      let env = { env with privs } in
-      match cbody env with () -> None | exception Return_of v -> v
+      match cbody env with
+      | () -> false
+      | exception Return_value -> true
+      | exception Return_void -> false
   in
   List.iter
-    (fun (f : Ast.func) -> Hashtbl.find funs f.fname := compile_func f)
+    (fun (f : Ast.func) ->
+      let cf, sl = Hashtbl.find funs f.fname in
+      cf := compile_func f sl)
     prog.funcs;
   funs
 
@@ -544,17 +712,32 @@ type lockinfo = {
   waiters : (int * (unit, unit) Effect.Deep.continuation) Queue.t;
 }
 
-let run_cells ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
-    ~cells =
-  if nprocs <= 0 then invalid_arg "Interp.run: nprocs must be positive";
+let check_nprocs nprocs =
+  if nprocs < 1 || nprocs > Cell_event.max_proc + 1 then
+    invalid_arg
+      (Printf.sprintf "Interp: nprocs %d out of range [1,%d]" nprocs
+         (Cell_event.max_proc + 1))
+
+let run_packed ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
+    ~sink =
+  check_nprocs nprocs;
   (match Fs_ir.Validate.check prog with
    | Ok () -> ()
    | Error errs -> raise (Fs_ir.Validate.Invalid_program errs));
+  let classes = Storage.infer prog in
   let ginfos = Hashtbl.create 16 in
   List.iteri
     (fun vid (name, gty) ->
       let n = Cells.count prog gty in
-      Hashtbl.add ginfos name { gty; vid; values = Array.make n Value.zero })
+      let boxed = Storage.global classes name = V in
+      Hashtbl.add ginfos name
+        {
+          gty;
+          vid;
+          boxed;
+          ints = (if boxed then [||] else Array.make n 0);
+          vals = (if boxed then Array.make n Value.zero else [||]);
+        })
     prog.Ast.globals;
   let sched_state =
     let uses = Sched.uses_tasks prog in
@@ -606,21 +789,23 @@ let run_cells ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
       nprocs;
       quantum;
       max_steps;
-      cells;
+      sink;
       ginfos;
       sched = sched_state;
-      pending = Array.make nprocs 0;
-      workpend = Array.make nprocs 0;
       work = Array.make nprocs 0;
+      ymark = Array.make nprocs 0;
+      fmark = Array.make nprocs 0;
       accesses = Array.make nprocs 0;
       total = 0;
       barrier_episodes = 0;
+      ret_int = 0;
+      ret_val = Value.zero;
     }
   in
-  let funs = compile ctx in
-  let entry =
+  let funs = compile ctx classes in
+  let entry, entry_slots =
     match Hashtbl.find_opt funs prog.entry with
-    | Some r -> !r
+    | Some (r, sl) -> (!r, sl)
     | None -> err "entry function %s not found" prog.entry
   in
   let states = Array.make nprocs Not_started in
@@ -643,11 +828,12 @@ let run_cells ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
       (fun acc s -> match s with At_barrier _ -> acc + 1 | _ -> acc)
       0 states
   in
+  let release_packed = Cell_event.pack Barrier_release in
   let release_barrier_if_complete () =
     let n_at = barrier_count () in
     if n_at > 0 && n_at = alive_count () then begin
       ctx.barrier_episodes <- ctx.barrier_episodes + 1;
-      ctx.cells.Cell_listener.barrier_release ();
+      ctx.sink release_packed;
       Array.iteri
         (fun i s ->
           match s with At_barrier k -> states.(i) <- Ready k | _ -> ())
@@ -656,21 +842,30 @@ let run_cells ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
   in
   let run_proc proc =
     let body () =
-      let res = entry { proc; privs = [||]; frame = new_frame true } in
-      ignore res;
+      let env =
+        {
+          proc;
+          ints = Array.make entry_slots.nints 0;
+          vals = Array.make entry_slots.nvals Value.zero;
+          frame = new_frame true;
+        }
+      in
+      ignore (entry env);
       flush_work ctx proc
+    in
+    (* built once: a process yields every [quantum] work units *)
+    let on_yield =
+      Some (fun (k : (unit, unit) Effect.Deep.continuation) -> states.(proc) <- Ready k)
     in
     Effect.Deep.match_with body ()
       {
         retc = (fun () -> states.(proc) <- Finished);
         exnc = (fun e -> raise e);
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) :
+               ((a, unit) Effect.Deep.continuation -> unit) option ->
             match eff with
-            | Yield ->
-              Some
-                (fun (k : (a, _) Effect.Deep.continuation) ->
-                  states.(proc) <- Ready k)
+            | Yield -> on_yield
             | Barrier_wait ->
               Some
                 (fun (k : (a, _) Effect.Deep.continuation) ->
@@ -682,12 +877,12 @@ let run_cells ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
                   let l = lockinfo key in
                   if l.owner < 0 then begin
                     l.owner <- proc;
-                    ctx.cells.Cell_listener.lock_grant ~proc ~var ~cell ~from:(-1);
+                    ctx.sink (Cell_event.pack (Lock_grant { proc; var; cell; from = -1 }));
                     Effect.Deep.continue k ()
                   end
                   else begin
                     flush_work ctx proc;
-                    ctx.cells.Cell_listener.lock_wait ~proc ~var ~cell;
+                    ctx.sink (Cell_event.pack (Lock_wait { proc; var; cell }));
                     Queue.add (proc, k) l.waiters;
                     states.(proc) <- Waiting_lock
                   end)
@@ -701,8 +896,9 @@ let run_cells ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
                    | None -> l.owner <- -1
                    | Some (waiter, wk) ->
                      l.owner <- waiter;
-                     ctx.cells.Cell_listener.lock_grant ~proc:waiter ~var ~cell
-                       ~from:proc;
+                     ctx.sink
+                       (Cell_event.pack
+                          (Lock_grant { proc = waiter; var; cell; from = proc }));
                      states.(waiter) <- Ready wk);
                   Effect.Deep.continue k ())
             | _ -> None);
@@ -711,30 +907,21 @@ let run_cells ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
   (* Round-robin over ready processes; deterministic. *)
   let next = ref 0 in
   let find_ready () =
-    let rec go tried =
-      if tried >= nprocs then None
-      else
-        let p = (!next + tried) mod nprocs in
-        match states.(p) with
-        | Not_started | Ready _ -> Some p
-        | Running | At_barrier _ | Waiting_lock | Finished -> go (tried + 1)
-    in
-    go 0
+    (* -1 when nothing is ready; runs at every scheduling point, so it
+       allocates nothing *)
+    let found = ref (-1) and tried = ref 0 in
+    while !found < 0 && !tried < nprocs do
+      let p = (!next + !tried) mod nprocs in
+      (match states.(p) with
+       | Not_started | Ready _ -> found := p
+       | Running | At_barrier _ | Waiting_lock | Finished -> ());
+      incr tried
+    done;
+    !found
   in
   let rec loop () =
     match find_ready () with
-    | Some p ->
-      next := (p + 1) mod nprocs;
-      (match states.(p) with
-       | Not_started ->
-         states.(p) <- Running;
-         run_proc p
-       | Ready k ->
-         states.(p) <- Running;
-         Effect.Deep.continue k ()
-       | _ -> assert false);
-      loop ()
-    | None ->
+    | -1 ->
       if alive_count () = 0 then ()
       else begin
         let held =
@@ -751,10 +938,25 @@ let run_cells ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
                 (alive_count ()) (barrier_count ())
                 (match held with [] -> "" | l -> "; " ^ String.concat ", " l)))
       end
+    | p ->
+      next := (p + 1) mod nprocs;
+      (match states.(p) with
+       | Not_started ->
+         states.(p) <- Running;
+         run_proc p
+       | Ready k ->
+         states.(p) <- Running;
+         Effect.Deep.continue k ()
+       | _ -> assert false);
+      loop ()
   in
   loop ();
   let store = Hashtbl.create 16 in
-  Hashtbl.iter (fun name g -> Hashtbl.add store name g.values) ginfos;
+  Hashtbl.iter
+    (fun name g ->
+      Hashtbl.add store name
+        (if g.boxed then g.vals else Array.map (fun n -> Value.Vint n) g.ints))
+    ginfos;
   {
     work = ctx.work;
     accesses = ctx.accesses;
@@ -774,11 +976,15 @@ let run_cells ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
 
 let vars prog = Array.of_list (List.map fst prog.Ast.globals)
 
+let run_cells ?quantum ?max_steps ?sched prog ~nprocs ~cells =
+  run_packed ?quantum ?max_steps ?sched prog ~nprocs ~sink:(fun packed ->
+      Cell_listener.dispatch cells (Cell_event.unpack packed))
+
 let record ?quantum ?max_steps ?sched prog ~nprocs =
   let trace = Cell_trace.create ~vars:(vars prog) ~nprocs in
   let r =
-    run_cells ?quantum ?max_steps ?sched prog ~nprocs
-      ~cells:(Cell_trace.recorder trace)
+    run_packed ?quantum ?max_steps ?sched prog ~nprocs ~sink:(fun packed ->
+        Cell_trace.push trace packed)
   in
   (trace, r)
 

@@ -13,18 +13,36 @@
 
     Execution is {e layout-free}: the interpreter names every shared
     reference by its abstract location — (variable id, cell id) — and
-    reports it through a {!Fs_trace.Cell_listener}.  Locks are likewise
-    identified by cell, so the schedule is a property of the program
-    alone and one interpreted execution can be re-laid-out arbitrarily
-    often.  {!record} captures the stream as a {!Fs_trace.Cell_trace} for
-    replay; {!run} is the direct path, wiring the cell stream through
-    [Fs_replay.Replay.translating] inline so consumers see byte
-    addresses — when the layout carries an indirection, the injected
-    pointer load is emitted before the data access.  Spin waiting on a
-    contended lock is modelled as test-and-test-and-set: the initial
-    probe read, then silence while spinning on the locally cached copy,
-    then the re-read and the acquiring write when the lock is handed
-    over. *)
+    emits it as a packed {!Fs_trace.Cell_event} int through one
+    [int -> unit] sink ({!run_packed}).  Locks are likewise identified by
+    cell, so the schedule is a property of the program alone and one
+    interpreted execution can be re-laid-out arbitrarily often.
+    {!record} pushes the stream straight into a {!Fs_trace.Cell_trace};
+    {!run_cells} unpacks it for {!Fs_trace.Cell_listener} consumers, and
+    {!run} wires that through [Fs_replay.Replay.translating] so consumers
+    see byte addresses — when the layout carries an indirection, the
+    injected pointer load is emitted before the data access.  Spin
+    waiting on a contended lock is modelled as test-and-test-and-set: the
+    initial probe read, then silence while spinning on the locally cached
+    copy, then the re-read and the acquiring write when the lock is
+    handed over.
+
+    {b Storage classes.}  Values are dynamically typed ({!Value.t}), but
+    the program is compiled to closures after a whole-program
+    storage-class inference ({!Storage}): every private slot, global and
+    function result that provably only holds ints is class [I] and lives
+    unboxed in an [int array]; the rest is class [V] and keeps the boxed
+    {!Value} semantics exactly, so mixed int/float programs behave as
+    they would if everything were boxed.  [Value.t] is built only at the
+    API boundary ([result.store], {!read_global}).
+
+    {b Evaluation order} is part of the trace contract, since a load is
+    an event and an event may yield to another process: binary operands
+    evaluate right to left; [&&]/[||] left to right, short-circuiting;
+    call and spawn arguments left to right; a load emits its access
+    before reading the cell; a store evaluates the cell, then the value,
+    then emits, then writes.  Identical programs, [nprocs], [quantum] and
+    scheduler seeds give bit-identical traces, counts and stores. *)
 
 exception Runtime_error of string
 exception Deadlock of string
@@ -40,6 +58,28 @@ type result = {
           [spawn]/[sync] and a scheduler config was supplied *)
 }
 
+val run_packed :
+  ?quantum:int ->
+  ?max_steps:int ->
+  ?sched:Fs_sched.Sched.config ->
+  Fs_ir.Ast.program ->
+  nprocs:int ->
+  sink:(int -> unit) ->
+  result
+(** The layout-free core: one interpreted execution, every event passed
+    to [sink] packed ({!Fs_trace.Cell_event.pack}), in program order.
+    Everything else is a wrapper.  [Cell_trace.Writer.push w] makes a
+    streaming recorder.
+
+    [sched] seeds the deterministic work-stealing runtime executing any
+    [spawn]/[sync] in the program (see {!Fs_sched.Sched}); running a
+    task-parallel program without it is a [Runtime_error] — never a
+    silent default, because the seed is part of the experiment's
+    identity.  For programs without tasks, [sched] is ignored.
+
+    @raise Invalid_argument before any event when [nprocs] is outside
+      [1 .. Cell_event.max_proc + 1] *)
+
 val run_cells :
   ?quantum:int ->
   ?max_steps:int ->
@@ -48,14 +88,7 @@ val run_cells :
   nprocs:int ->
   cells:Fs_trace.Cell_listener.t ->
   result
-(** The layout-free core: one interpreted execution, events delivered at
-    cell granularity.  Everything else is a wrapper.
-
-    [sched] seeds the deterministic work-stealing runtime executing any
-    [spawn]/[sync] in the program (see {!Fs_sched.Sched}); running a
-    task-parallel program without it is a [Runtime_error] — never a
-    silent default, because the seed is part of the experiment's
-    identity.  For programs without tasks, [sched] is ignored. *)
+(** {!run_packed} with each event unpacked and dispatched to [cells]. *)
 
 val record :
   ?quantum:int ->
@@ -85,8 +118,10 @@ val run :
     between scheduling points; an access costs 3 units, other statements 1.
     [max_steps] (default 400 million) bounds total work.
 
-    @raise Runtime_error on dynamic errors (bad index, float index,
-      division by zero, unlock of a lock not held, missing return value)
+    @raise Runtime_error on dynamic errors (bad index, unlock of a lock
+      not held, missing return value)
+    @raise Value.Type_error on a float index or a float [mod] operand
+    @raise Division_by_zero on a zero divisor
     @raise Deadlock when no process can make progress
     @raise Nontermination when [max_steps] is exceeded *)
 

@@ -15,7 +15,11 @@ val to_int : t -> int
 val truthy : t -> bool
 val unop : Fs_ir.Ast.unop -> t -> t
 val binop : Fs_ir.Ast.binop -> t -> t -> t
-(** @raise Type_error on lock values, [Division_by_zero] on zero divisors. *)
+(** Lock words are plain ints, so every operator accepts every value
+    except as noted.
+    @raise Type_error on [Mod] with a float operand
+    @raise Division_by_zero on a zero divisor of [Div] (int or float) or of
+      an int [Mod] *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -80,6 +80,7 @@ let check_lvalue p where lv errs =
 
 let check_func p func errs =
   let where = "function " ^ func.fname in
+  dup_names ("parameter of " ^ where) func.params errs;
   let privs = Hashtbl.create 16 in
   List.iter (fun prm -> Hashtbl.replace privs prm ()) func.params;
   (* Collect every private binding in the function, flow-insensitively. *)

@@ -112,6 +112,26 @@ let[@inline] unsafe_pack_lock_grant ~proc ~var ~from1 ~cell =
 let[@inline] unsafe_pack_steal ~thief ~victim ~task =
   tag_steal lor (thief lsl 4) lor (victim lsl 12) lor (task lsl 20)
 
+(* Checked packing without the variant: the interpreter's per-event
+   path.  Same range checks and messages as [pack]; the checks are merged
+   into one test so the in-range path costs a few compares. *)
+let pack_access ~write ~proc ~var ~cell =
+  if proc < 0 || proc > max_proc || var < 0 || var > max_var || cell < 0
+     || cell > max_wide_cell
+  then begin
+    check "proc" proc max_proc;
+    check "var" var max_var;
+    check "cell" cell max_wide_cell
+  end;
+  unsafe_pack_access ~write ~proc ~var ~cell
+
+let pack_work ~proc ~amount =
+  if proc < 0 || proc > max_proc || amount < 0 || amount > max_amount then begin
+    check "proc" proc max_proc;
+    check "amount" amount max_amount
+  end;
+  unsafe_pack_work ~proc ~amount
+
 let unpack packed =
   let proc = (packed lsr 4) land 0xff in
   let var = (packed lsr 12) land 0xff in

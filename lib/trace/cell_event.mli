@@ -32,6 +32,15 @@ val pack : t -> int
 
 val unpack : int -> t
 
+val pack_access : write:bool -> proc:int -> var:int -> cell:int -> int
+(** [pack (Access { proc; write; var; cell })] without building the
+    variant.
+    @raise Invalid_argument exactly when {!pack} would. *)
+
+val pack_work : proc:int -> amount:int -> int
+(** [pack (Work { proc; amount })] without building the variant.
+    @raise Invalid_argument exactly when {!pack} would. *)
+
 (** {1 Allocation-free field access}
 
     Extractors over the packed int, for hot loops that cannot afford

@@ -12,7 +12,10 @@ let id_table vars =
   ids
 
 let create ~vars ~nprocs =
-  if nprocs <= 0 then invalid_arg "Cell_trace.create: nprocs must be positive";
+  if nprocs <= 0 || nprocs > Cell_event.max_proc + 1 then
+    invalid_arg
+      (Printf.sprintf "Cell_trace.create: nprocs %d out of range [1,%d]" nprocs
+         (Cell_event.max_proc + 1));
   if Array.length vars > Cell_event.max_var + 1 then
     invalid_arg "Cell_trace.create: too many variables";
   { vars; ids = id_table vars; nprocs; data = Array.make 1024 0; len = 0 }
@@ -31,28 +34,6 @@ let push t packed =
   end;
   t.data.(t.len) <- packed;
   t.len <- t.len + 1
-
-let listener_of_push push =
-  {
-    Cell_listener.access =
-      (fun ~proc ~write ~var ~cell ->
-        push (Cell_event.pack (Access { proc; write; var; cell })));
-    work = (fun ~proc ~amount -> push (Cell_event.pack (Work { proc; amount })));
-    barrier_arrive =
-      (fun ~proc -> push (Cell_event.pack (Barrier_arrive { proc })));
-    barrier_release = (fun () -> push (Cell_event.pack Barrier_release));
-    lock_wait =
-      (fun ~proc ~var ~cell ->
-        push (Cell_event.pack (Lock_wait { proc; var; cell })));
-    lock_grant =
-      (fun ~proc ~var ~cell ~from ->
-        push (Cell_event.pack (Lock_grant { proc; var; cell; from })));
-    steal =
-      (fun ~thief ~victim ~task ->
-        push (Cell_event.pack (Steal { thief; victim; task })));
-  }
-
-let recorder t = listener_of_push (push t)
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Cell_trace.get: out of range";
@@ -874,7 +855,6 @@ module Writer = struct
     t.w_len <- t.w_len + 1
 
   let length t = t.w_len
-  let recorder t = listener_of_push (push t)
 
   let close t =
     if not t.w_done then begin

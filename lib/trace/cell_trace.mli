@@ -12,11 +12,11 @@ type t
 val create : vars:string array -> nprocs:int -> t
 (** [vars] maps variable ids (indices) to global names — the program's
     declaration order.
-    @raise Invalid_argument on a non-positive [nprocs] or more than 256
-    variables. *)
+    @raise Invalid_argument when [nprocs] is outside
+    [1 .. Cell_event.max_proc + 1] or there are more than 256 variables. *)
 
-val recorder : t -> Cell_listener.t
-(** Appends every delivered event to the trace. *)
+val push : t -> int -> unit
+(** Append one packed event ([Interp.record] feeds the trace this way). *)
 
 val vars : t -> string array
 val nprocs : t -> int
@@ -102,12 +102,9 @@ module Writer : sig
       [block_events]. *)
 
   val push : t -> int -> unit
-  (** Append one packed event.
+  (** Append one packed event — pass [push w] as [Interp.run_packed]'s
+      sink to record without materializing the trace.
       @raise Invalid_argument after {!close} / {!abort}. *)
-
-  val recorder : t -> Cell_listener.t
-  (** A listener that pushes every delivered event — plug it into
-      [Interp.run_cells] to record without materializing the trace. *)
 
   val length : t -> int
   (** Events pushed so far. *)

@@ -292,6 +292,240 @@ let suite =
     Alcotest.test_case "nontermination guard" `Quick test_nontermination_guard;
     Alcotest.test_case "listener events" `Quick test_listener_events ]
 
+(* Mixed int/float programs.  Values are dynamically typed: a private,
+   parameter or result that ever holds a float stays on the boxed path,
+   and a global's declared scalar type does not coerce what is stored in
+   it.  [test_fuzz] generates int-only programs, so these pin the boxed
+   semantics down case by case. *)
+
+let vint n = Value.Vint n
+let vfloat x = Value.Vfloat x
+let value = Alcotest.testable Value.pp Value.equal
+
+let check_cells r name expect =
+  List.iteri
+    (fun idx e ->
+      Alcotest.check value (Printf.sprintf "%s[%d]" name idx) e
+        (Interp.read_global r name idx))
+    expect
+
+let test_mixed_private () =
+  let open Dsl in
+  let p =
+    dsl_prog [ ("out", arr int_t 5) ]
+      [ fn "main" []
+          [ decl "x" (i 1);
+            (v "out").%(i 0) <-- p "x";
+            set "x" (f 2.5);
+            (v "out").%(i 1) <-- p "x";
+            (v "out").%(i 2) <-- (p "x" +% i 1);
+            (* a loop variable later assigned a float: the loop counter
+               itself stays an int *)
+            decl "acc" (i 0);
+            sfor "k" (i 0) (i 3) [ set "acc" (p "acc" +% p "k"); set "k" (f 9.5) ];
+            (v "out").%(i 3) <-- p "acc";
+            (v "out").%(i 4) <-- p "k" ] ]
+  in
+  check_cells (run_quiet p) "out"
+    [ vint 1; vfloat 2.5; vfloat 3.5; vint 3; vfloat 9.5 ]
+
+let test_mixed_param () =
+  let open Dsl in
+  let p =
+    dsl_prog [ ("out", arr int_t 2); ("g", arr float_t 2) ]
+      [ fn "twice" [ "x" ] [ ret (p "x" +% p "x") ];
+        fn "put" [ "k"; "x" ] [ (v "g").%(p "k") <-- p "x" ];
+        fn "main" []
+          [ decl "r" (i 0);
+            call_ret "r" "twice" [ i 3 ];
+            (v "out").%(i 0) <-- p "r";
+            call_ret "r" "twice" [ f 1.5 ];
+            (v "out").%(i 1) <-- p "r";
+            call "put" [ i 0; i 7 ];
+            call "put" [ i 1; f 0.5 ] ] ]
+  in
+  let r = run_quiet p in
+  check_cells r "out" [ vint 6; vfloat 3.0 ];
+  check_cells r "g" [ vint 7; vfloat 0.5 ]
+
+let test_mixed_spawn_param () =
+  let open Dsl in
+  let prog =
+    dsl_prog [ ("g", arr float_t 2) ]
+      [ fn "put" [ "k"; "x" ] [ (v "g").%(p "k") <-- p "x" ];
+        fn "main" []
+          [ when_ (pdv ==% i 0) [ spawn "put" [ i 0; f 1.5 ]; spawn "put" [ i 1; i 2 ] ];
+            sync ] ]
+  in
+  let prog = Fs_sched.Sched.instrument ~nprocs:2 prog in
+  let _, r = Interp.record ~sched:(Fs_sched.Sched.seeded 5) prog ~nprocs:2 in
+  check_cells r "g" [ vfloat 1.5; vint 2 ]
+
+let test_mixed_result () =
+  let open Dsl in
+  let p =
+    dsl_prog [ ("out", arr int_t 2) ]
+      [ fn "h" [ "c" ] [ sif (p "c") [ ret (i 4) ] [ ret (f 4.0) ] ];
+        fn "main" []
+          [ decl "r" (i 0);
+            call_ret "r" "h" [ i 1 ];
+            (v "out").%(i 0) <-- p "r";
+            call_ret "r" "h" [ i 0 ];
+            (v "out").%(i 1) <-- p "r" ] ]
+  in
+  check_cells (run_quiet p) "out" [ vint 4; vfloat 4.0 ]
+
+let test_mixed_globals () =
+  let open Dsl in
+  let p =
+    dsl_prog [ ("fg", arr float_t 2); ("ig", int_t); ("cmp", arr int_t 6) ]
+      [ fn "main" []
+          [ (v "fg").%(i 0) <-- i 5;
+            (v "ig") <-- f 2.5;
+            (v "cmp").%(i 0) <-- (f 1.5 <% i 2);
+            (v "cmp").%(i 1) <-- min_ (i 3) (f 2.5);
+            (v "cmp").%(i 2) <-- max_ (i 3) (f 2.5);
+            (v "cmp").%(i 3) <-- (i 7 /% f 2.0);
+            (v "cmp").%(i 4) <-- (not_ (f 0.5) ||% neg (f 0.0));
+            (v "cmp").%(i 5) <-- (ld (v "ig") *% i 2) ] ]
+  in
+  let r = run_quiet p in
+  (* a Tfloat global that only ever receives ints reads back ints, and
+     a float stored into a Tint global reads back a float *)
+  check_cells r "fg" [ vint 5; vint 0 ];
+  check_cells r "ig" [ vfloat 2.5 ];
+  check_cells r "cmp"
+    [ vint 1; vfloat 2.5; vint 3; vfloat 3.5; vint 0; vfloat 5.0 ]
+
+let test_mixed_errors () =
+  let open Dsl in
+  let expect what exn_ok prog =
+    match run_quiet prog with
+    | _ -> Alcotest.fail ("expected an exception: " ^ what)
+    | exception e when exn_ok e -> ()
+  in
+  let type_error = function Value.Type_error _ -> true | _ -> false in
+  let div_zero = function Division_by_zero -> true | _ -> false in
+  expect "float index" type_error
+    (dsl_prog [ ("a", arr int_t 4) ] [ fn "main" [] [ (v "a").%(f 1.0) <-- i 1 ] ]);
+  expect "float mod" type_error
+    (dsl_prog [ ("x", int_t) ] [ fn "main" [] [ (v "x") <-- (i 5 %% f 2.0) ] ]);
+  expect "int div by zero" div_zero
+    (dsl_prog [ ("x", int_t) ]
+       [ fn "main" [] [ decl "z" (i 0); (v "x") <-- (i 5 /% p "z") ] ]);
+  expect "int mod by zero" div_zero
+    (dsl_prog [ ("x", int_t) ]
+       [ fn "main" [] [ decl "z" (i 0); (v "x") <-- (i 5 %% p "z") ] ]);
+  expect "float div by zero" div_zero
+    (dsl_prog [ ("x", int_t) ] [ fn "main" [] [ (v "x") <-- (f 1.0 /% i 0) ] ])
+
+(* operands of a binary operator evaluate right to left, so the trace
+   records the right operand's load first *)
+let test_binop_operand_order () =
+  let open Dsl in
+  let p =
+    dsl_prog [ ("a", arr int_t 2); ("b", arr float_t 2); ("out", arr int_t 2) ]
+      [ fn "main" []
+          [ (v "out").%(i 0) <-- (ld (v "a").%(i 0) +% ld (v "a").%(i 1));
+            (v "out").%(i 1) <-- (ld (v "b").%(i 0) -% ld (v "b").%(i 1)) ] ]
+  in
+  let trace, _ = Interp.record p ~nprocs:1 in
+  let accesses = ref [] in
+  Fs_trace.Cell_trace.iter
+    (function
+      | Fs_trace.Cell_event.Access { var; cell; write; _ } ->
+        accesses := (var, cell, write) :: !accesses
+      | _ -> ())
+    trace;
+  Alcotest.(check (list (triple int int bool)))
+    "right operand first"
+    [ (0, 1, false); (0, 0, false); (2, 0, true);
+      (1, 1, false); (1, 0, false); (2, 1, true) ]
+    (List.rev !accesses)
+
+(* processor ids are packed into 8 bits per event: a count outside
+   [1, 256] is refused up front, before any event is emitted *)
+let test_nprocs_range () =
+  let open Dsl in
+  let p = dsl_prog [ ("x", int_t) ] [ fn "main" [] [ (v "x") <-- pdv ] ] in
+  List.iter
+    (fun nprocs ->
+      let events = ref 0 in
+      (match Interp.run_packed p ~nprocs ~sink:(fun _ -> incr events) with
+       | _ -> Alcotest.failf "nprocs %d accepted" nprocs
+       | exception Invalid_argument _ -> ());
+      Alcotest.(check int) (Printf.sprintf "nprocs %d: no events" nprocs) 0 !events;
+      (match Interp.record p ~nprocs with
+       | _ -> Alcotest.failf "record: nprocs %d accepted" nprocs
+       | exception Invalid_argument _ -> ());
+      match Fs_trace.Cell_trace.create ~vars:[| "x" |] ~nprocs with
+      | _ -> Alcotest.failf "Cell_trace.create: nprocs %d accepted" nprocs
+      | exception Invalid_argument _ -> ())
+    [ 0; -1; 257; 300 ];
+  let trace, r = Interp.record p ~nprocs:256 in
+  Alcotest.(check int) "P=256 runs" 255 (int_of (Interp.read_global r "x" 0));
+  Alcotest.(check int) "P=256 trace" 256 (Fs_trace.Cell_trace.nprocs trace)
+
+let test_storage_classes () =
+  let open Dsl in
+  let module S = Fs_interp.Storage in
+  let p =
+    dsl_prog [ ("fg", float_t); ("ig", int_t); ("n", int_t) ]
+      [ fn "h" [ "c"; "k" ] [ sif (p "c") [ ret (i 4) ] [ ret (f 4.0) ] ];
+        fn "g" [ "k" ] [ ret (p "k" +% i 1) ];
+        fn "main" []
+          [ decl "x" (i 1); decl "y" (i 3 *% pdv); decl "r" (i 0); decl "q" (i 0);
+            set "x" (f 0.5);
+            decl "z" (p "x" -% i 1);
+            call_ret "r" "h" [ i 1; p "y" ];
+            call_ret "q" "g" [ p "y" ];
+            (v "fg") <-- p "y";
+            (v "ig") <-- p "r";
+            (v "n") <-- (ld (v "ig") <% i 1) ] ]
+  in
+  let c = S.infer p in
+  let cls =
+    Alcotest.testable
+      (fun fmt c -> Format.pp_print_string fmt (match c with S.I -> "I" | S.V -> "V"))
+      ( = )
+  in
+  Alcotest.check cls "x: int then float" S.V (S.private_ c ~fname:"main" "x");
+  Alcotest.check cls "y: int arithmetic" S.I (S.private_ c ~fname:"main" "y");
+  (* flow-insensitive: anything computed from x is boxed *)
+  Alcotest.check cls "z: arithmetic on x" S.V (S.private_ c ~fname:"main" "z");
+  Alcotest.check cls "h returns a float" S.V (S.result c "h");
+  Alcotest.check cls "r receives h's result" S.V (S.private_ c ~fname:"main" "r");
+  Alcotest.check cls "g returns ints" S.I (S.result c "g");
+  Alcotest.check cls "q receives g's result" S.I (S.private_ c ~fname:"main" "q");
+  Alcotest.check cls "k of h: only int arguments" S.I (S.private_ c ~fname:"h" "k");
+  Alcotest.check cls "declared float, stored ints" S.I (S.global c "fg");
+  Alcotest.check cls "declared int, stored a float" S.V (S.global c "ig");
+  Alcotest.check cls "comparison of a float" S.I (S.global c "n");
+  (* the registered workloads are all-int: every location runs unboxed *)
+  List.iter
+    (fun (w : Fs_workloads.Workload.t) ->
+      let prog = w.build ~nprocs:4 ~scale:1 in
+      let c = S.infer prog in
+      List.iter
+        (fun (g, _) -> Alcotest.check cls (w.name ^ " global " ^ g) S.I (S.global c g))
+        prog.Ast.globals;
+      List.iter
+        (fun (f : Ast.func) ->
+          Alcotest.check cls (w.name ^ " result of " ^ f.fname) S.I (S.result c f.fname))
+        prog.funcs)
+    Fs_workloads.Workloads.every
+
+let mixed_suite =
+  [ Alcotest.test_case "mixed: private int then float" `Quick test_mixed_private;
+    Alcotest.test_case "mixed: int and float arguments" `Quick test_mixed_param;
+    Alcotest.test_case "mixed: spawned float argument" `Quick test_mixed_spawn_param;
+    Alcotest.test_case "mixed: int and float results" `Quick test_mixed_result;
+    Alcotest.test_case "mixed: globals keep stored kinds" `Quick test_mixed_globals;
+    Alcotest.test_case "mixed: type and division errors" `Quick test_mixed_errors;
+    Alcotest.test_case "mixed: binop operand order" `Quick test_binop_operand_order;
+    Alcotest.test_case "nprocs range" `Quick test_nprocs_range;
+    Alcotest.test_case "storage classes" `Quick test_storage_classes ]
+
 (* Differential testing: random arithmetic expression trees evaluated by
    the interpreter must match direct evaluation with Value.binop. *)
 let expr_gen =
@@ -331,4 +565,4 @@ let test_differential_eval =
       let r = run_quiet prog in
       Value.equal (Interp.read_global r "out" 0) (eval_direct e))
 
-let suite = suite @ [ QCheck_alcotest.to_alcotest test_differential_eval ]
+let suite = suite @ mixed_suite @ [ QCheck_alcotest.to_alcotest test_differential_eval ]

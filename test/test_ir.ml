@@ -125,7 +125,9 @@ let test_validate_arity () =
       funcs = [ fn "f" [ "a"; "b" ] []; fn "main" [] [ call "f" [ i 1 ] ] ];
       entry = "main" }
   in
-  check_invalid "expected 2" p
+  check_invalid "expected 2" p;
+  check_invalid "duplicate parameter of function f \"a\""
+    { p with funcs = [ fn "f" [ "a"; "a" ] []; fn "main" [] [ call "f" [ i 1; i 2 ] ] ] }
 
 let test_validate_recursive_struct () =
   let p =

@@ -23,4 +23,6 @@ let () =
       ("phases", Test_phases.suite);
       ("sched", Test_sched.suite);
       ("feedback", Test_feedback.suite);
-      ("fuzz", Test_fuzz.suite) ]
+      ("fuzz", Test_fuzz.suite);
+      ("golden", Test_golden.suite);
+      ("cli", Test_cli.suite) ]

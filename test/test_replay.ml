@@ -325,8 +325,7 @@ let test_disk_roundtrip_edges () =
   Alcotest.(check (option int)) "var table survives empty trace" (Some 1)
     (Cell_trace.var_id back "b");
   let one = Cell_trace.create ~vars:[| "x" |] ~nprocs:1 in
-  let r = Cell_trace.recorder one in
-  r.Fs_trace.Cell_listener.access ~proc:0 ~write:true ~var:0 ~cell:7;
+  Cell_trace.push one (Cell_event.pack_access ~proc:0 ~write:true ~var:0 ~cell:7);
   let back = roundtrip "one-event trace" one in
   Alcotest.check
     (Alcotest.testable Cell_event.pp ( = ))
