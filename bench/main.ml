@@ -7,7 +7,7 @@
 
    A single argument selects one piece:
      fig3 | table2 | fig4 | table3 | stats | exectime | replay | simspeed |
-     sharded | tracefmt | tracefmt-decode | tracescale | telemetry | micro |
+     tracefmt | tracefmt-decode | tracescale | telemetry | micro |
      ablation | repair | stealing | phases
    plus `quick`, which shrinks the processor sweep for a fast pass,
    `baseline`, which runs the quick pass and seeds bench/BASELINE.json,
@@ -16,9 +16,7 @@
    slower than the baseline by more than the tolerance factor
    (`--tolerance F`, default 10).  `--jobs N` sets the number of worker
    domains for parallel replay (default: the FALSESHARE_JOBS environment
-   variable, else the recommended domain count); `--shards N` adds an
-   extra point to the simspeed scaling-vs-domains curve (the default
-   curve sweeps shards in {1, 2, 4, default_jobs}).
+   variable, else the recommended domain count).
 
    Besides the text tables, every run writes BENCH_results.json
    (atomically: temp file + rename) — the same records in
@@ -49,6 +47,17 @@ let time_it f =
 
 let tmp_trace tag =
   Filename.temp_file (Printf.sprintf "fs-bench-%s-" tag) ".fstrace"
+
+(* fused replay counts of an in-memory trace, or of an open on-disk one *)
+let fused_counts trace ~layout ~config =
+  let cache = C.create ~max_addr:(Layout.size layout) config in
+  Fs_replay.Replay.simulate trace ~layout ~cache;
+  C.counts cache
+
+let stream_counts stream ~layout ~config =
+  let cache = C.create ~max_addr:(Layout.size layout) config in
+  Fs_replay.Replay.simulate_stream stream ~layout ~cache;
+  C.counts cache
 
 (* accumulated for BENCH_results.json, in run order *)
 let results : (string * Json.t) list ref = ref []
@@ -190,7 +199,7 @@ let replay_bench ~jobs () =
    reference -> fused isolates the per-event unpack + dispatch +
    outcome-boxing cost the fused loop removes.                         *)
 
-let simspeed ~extra_shards () =
+let simspeed () =
   section "Simulator hot path - fused packed replay vs listener paths \
            (pverify, unoptimized, 128B)";
   let w = Ws.find "pverify" in
@@ -216,9 +225,8 @@ let simspeed ~extra_shards () =
     C.counts c
   in
   let fused () =
-    let c = C.create ~max_addr (C.default_config ~nprocs ~block:128) in
-    Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache:c;
-    C.counts c
+    fused_counts recorded.Sim.trace ~layout
+      ~config:(C.default_config ~nprocs ~block:128)
   in
   (* identical counts is load-bearing: the throughput comparison is only
      meaningful because the three engines are interchangeable *)
@@ -257,138 +265,6 @@ let simspeed ~extra_shards () =
      (%d events x%d, identical counts)\n"
     t_legacy (rate t_legacy) t_ref (rate t_ref) t_fused (rate t_fused)
     (speedup t_legacy t_fused) (speedup t_ref t_fused) events reps;
-  (* scaling vs domains: the same trace through the sharded engine, one
-     point per shard count, each on a persistent pool of [shards]
-     workers (deliberately oversubscribed when the box has fewer cores —
-     the curve then reports what sharding costs there, not a guess).
-     Counts are asserted bit-identical to the fused run at every point. *)
-  let module R = Fs_replay.Replay in
-  let points =
-    List.sort_uniq compare
-      (List.filter
-         (fun n -> n >= 1)
-         ([ 1; 2; 4; Fs_util.Par.default_jobs () ] @ extra_shards))
-  in
-  let config = C.default_config ~nprocs ~block:128 in
-  let run_sharded shards pool () =
-    (R.simulate_sharded ?pool recorded.Sim.trace ~shards ~layout ~config)
-      .R.counts
-  in
-  let reps_s = 5 in
-  let runs =
-    List.map
-      (fun shards ->
-        let pool =
-          if shards > 1 then Some (Fs_util.Par.Pool.create ~jobs:shards ())
-          else None
-        in
-        (shards, pool, ref infinity))
-      points
-  in
-  (* warm-up doubles as the identity check *)
-  List.iter
-    (fun (shards, pool, _) -> assert (run_sharded shards pool () = c_fused))
-    runs;
-  for _ = 1 to 3 do
-    List.iter
-      (fun (shards, pool, best) ->
-        Gc.full_major ();
-        let t =
-          snd
-            (time_it (fun () ->
-                 for _ = 1 to reps_s do
-                   ignore (run_sharded shards pool ())
-                 done))
-        in
-        if t < !best then best := t)
-      runs
-  done;
-  let rate_s t =
-    if t > 0. then float_of_int (events * reps_s) /. t /. 1e6 else 0.
-  in
-  let scaling =
-    List.map
-      (fun (shards, pool, best) ->
-        let utilization =
-          match pool with
-          | None -> []
-          | Some p ->
-            let st = Fs_util.Par.Pool.stats p in
-            let u =
-              Array.to_list
-                (Array.map
-                   (fun w -> Fs_util.Par.utilization st w)
-                   st.Fs_util.Par.workers)
-            in
-            Fs_util.Par.Pool.shutdown p;
-            u
-        in
-        let t = !best in
-        Printf.printf
-          "sharded, %d shard(s): %.3fs  (%.1f Mevents/s, %.2fx vs fused)\n"
-          shards t (rate_s t)
-          (speedup (t_fused *. float_of_int reps_s /. float_of_int reps) t);
-        Json.Obj
-          [ ("shards", Json.Int shards);
-            ("seconds", Json.float t);
-            ("mevents_per_s", Json.float (rate_s t));
-            ("speedup_vs_fused",
-             Json.float
-               (speedup (t_fused *. float_of_int reps_s /. float_of_int reps) t));
-            ("counts_identical", Json.Bool true);
-            ("worker_utilization",
-             Json.List (List.map Json.float utilization)) ])
-      runs
-  in
-  (* the same curve against the on-disk v2 form: blocks decoded on the
-     pool, pipelined one window ahead of the drain, so the trace never
-     materializes as an array.  Reported with the bytes actually read
-     and the effective bandwidth that implies. *)
-  let v2_path = tmp_trace "simspeed" in
-  Ct.write_file recorded.Sim.trace v2_path;
-  let stream = Ct.of_file_stream v2_path in
-  let trace_bytes = Ct.Stream.byte_size stream in
-  let streamed =
-    List.map
-      (fun shards ->
-        let pool =
-          if shards > 1 then Some (Fs_util.Par.Pool.create ~jobs:shards ())
-          else None
-        in
-        let run () =
-          (R.simulate_sharded_stream ?pool stream ~shards ~layout ~config)
-            .R.counts
-        in
-        assert (run () = c_fused);
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          Gc.full_major ();
-          let t =
-            snd (time_it (fun () ->
-                for _ = 1 to reps_s do ignore (run ()) done))
-          in
-          if t < !best then best := t
-        done;
-        (match pool with Some p -> Fs_util.Par.Pool.shutdown p | None -> ());
-        let t = !best in
-        let mbs =
-          if t > 0. then
-            float_of_int (trace_bytes * reps_s) /. t /. (1024. *. 1024.)
-          else 0.
-        in
-        Printf.printf
-          "streamed v2, %d shard(s): %.3fs  (%.1f Mevents/s, %.1f MB/s read)\n"
-          shards t (rate_s t) mbs;
-        Json.Obj
-          [ ("shards", Json.Int shards);
-            ("seconds", Json.float t);
-            ("mevents_per_s", Json.float (rate_s t));
-            ("mb_per_s", Json.float mbs);
-            ("counts_identical", Json.Bool true) ])
-      points
-  in
-  Ct.Stream.close stream;
-  Sys.remove v2_path;
   record "simspeed" ~seconds:(t_legacy +. t_ref +. t_fused)
     (Json.Obj
        [ ("events", Json.Int events);
@@ -400,10 +276,7 @@ let simspeed ~extra_shards () =
          ("reference_mevents_per_s", Json.float (rate t_ref));
          ("fused_mevents_per_s", Json.float (rate t_fused));
          ("speedup_vs_legacy", Json.float (speedup t_legacy t_fused));
-         ("speedup_vs_reference", Json.float (speedup t_ref t_fused));
-         ("scaling", Json.List scaling);
-         ("trace_bytes", Json.Int trace_bytes);
-         ("streamed_v2", Json.List streamed) ])
+         ("speedup_vs_reference", Json.float (speedup t_ref t_fused)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Trace format v2: on-disk size, decode throughput, and the streamed
@@ -415,7 +288,6 @@ let simspeed ~extra_shards () =
 let tracefmt () =
   section "Trace format v2 - on-disk bytes vs v1, streamed counts identical \
            (every workload, default scale, 128B)";
-  let module R = Fs_replay.Replay in
   let t0 = Unix.gettimeofday () in
   let rows = ref [] in
   let payloads =
@@ -428,9 +300,7 @@ let tracefmt () =
         let events = Ct.length trace in
         let layout = Layout.default prog ~block:128 in
         let config = C.default_config ~nprocs ~block:128 in
-        let reference =
-          (R.simulate_sharded trace ~shards:1 ~layout ~config).R.counts
-        in
+        let reference = fused_counts trace ~layout ~config in
         (* both formats must replay from disk to the exact in-memory
            counts — the compression numbers only matter if the round
            trip is lossless *)
@@ -438,8 +308,7 @@ let tracefmt () =
           let path = tmp_trace w.name in
           Ct.write_file ~format trace path;
           let s = Ct.of_file_stream path in
-          let st = R.simulate_sharded_stream s ~shards:1 ~layout ~config in
-          assert (st.R.counts = reference);
+          assert (stream_counts s ~layout ~config = reference);
           let bytes = Ct.Stream.byte_size s in
           Ct.Stream.close s;
           Sys.remove path;
@@ -471,10 +340,9 @@ let tracefmt () =
        (List.rev !rows));
   record "tracefmt" ~seconds:(Unix.gettimeofday () -. t0) (Json.List payloads)
 
-let tracefmt_decode ~jobs () =
-  section "Trace format v2 - decode throughput and streamed sharded replay \
-           vs v1 (pverify, unoptimized, 128B)";
-  let module R = Fs_replay.Replay in
+let tracefmt_decode () =
+  section "Trace format v2 - decode throughput and streamed replay vs v1 \
+           (pverify, unoptimized, 128B)";
   let t0 = Unix.gettimeofday () in
   let w = Ws.find "pverify" in
   let nprocs = w.W.fig3_procs in
@@ -484,9 +352,7 @@ let tracefmt_decode ~jobs () =
   let events = Ct.length trace in
   let layout = Layout.default prog ~block:128 in
   let config = C.default_config ~nprocs ~block:128 in
-  let reference =
-    (R.simulate_sharded trace ~shards:1 ~layout ~config).R.counts
-  in
+  let reference = fused_counts trace ~layout ~config in
   let mk format =
     let path = tmp_trace "decode" in
     Ct.write_file ~format trace path;
@@ -519,51 +385,24 @@ let tracefmt_decode ~jobs () =
   Printf.printf
     "decode only:  v1 %.3fs (%.1f Mevents/s)  |  v2 %.3fs (%.1f Mevents/s)\n"
     d1 (rate d1) d2 (rate d2);
-  (* streamed sharded replay at 1 and 4 shards: at 1 the decode runs
-     inline on the calling domain, at 4 it is pipelined onto the pool
-     (oversubscribed when the box has fewer cores, same policy as the
-     simspeed curve) *)
-  let points = List.sort_uniq compare [ 1; 4; max 1 jobs ] in
-  let replay_points =
-    List.map
-      (fun shards ->
-        let pool =
-          if shards > 1 then Some (Fs_util.Par.Pool.create ~jobs:shards ())
-          else None
-        in
-        let replay s () =
-          let st = R.simulate_sharded_stream ?pool s ~shards ~layout ~config in
-          assert (st.R.counts = reference)
-        in
-        replay s1 ();
-        replay s2 ();
-        let r1 = best_of (replay s1) and r2 = best_of (replay s2) in
-        (match pool with Some p -> Fs_util.Par.Pool.shutdown p | None -> ());
-        let speedup = if r2 > 0. then r1 /. r2 else 0. in
-        Printf.printf
-          "streamed replay, %d shard(s): v1 %.3fs (%.1f Mevents/s, %.1f MB/s \
-           read)  |  v2 %.3fs (%.1f Mevents/s, %.1f MB/s read)  |  v2 vs v1 \
-           %.2fx\n"
-          shards r1 (rate r1) (mbs b1 r1) r2 (rate r2) (mbs b2 r2) speedup;
-        Json.Obj
-          [ ("shards", Json.Int shards);
-            ("v1_replay_seconds", Json.float r1);
-            ("v2_replay_seconds", Json.float r2);
-            ("v1_replay_mevents_per_s", Json.float (rate r1));
-            ("v2_replay_mevents_per_s", Json.float (rate r2));
-            ("v1_replay_mb_per_s", Json.float (mbs b1 r1));
-            ("v2_replay_mb_per_s", Json.float (mbs b2 r2));
-            ("v2_vs_v1_replay_speedup", Json.float speedup);
-            ("counts_identical", Json.Bool true) ])
-      points
-  in
+  (* streamed replay: the same decode feeding the fused loop block by
+     block *)
+  let replay s () = assert (stream_counts s ~layout ~config = reference) in
+  replay s1 ();
+  replay s2 ();
+  let r1 = best_of (replay s1) and r2 = best_of (replay s2) in
+  let speedup = if r2 > 0. then r1 /. r2 else 0. in
+  Printf.printf
+    "streamed replay: v1 %.3fs (%.1f Mevents/s, %.1f MB/s read)  |  v2 \
+     %.3fs (%.1f Mevents/s, %.1f MB/s read)  |  v2 vs v1 %.2fx\n"
+    r1 (rate r1) (mbs b1 r1) r2 (rate r2) (mbs b2 r2) speedup;
   Ct.Stream.close s1;
   Ct.Stream.close s2;
   Sys.remove p1;
   Sys.remove p2;
   Printf.printf
     "(%d events x%d; v1 %d bytes, v2 %d bytes; counts identical to \
-     in-memory at every point)\n"
+     in-memory)\n"
     events reps b1 b2;
   record "tracefmt-decode" ~seconds:(Unix.gettimeofday () -. t0)
     (Json.Obj
@@ -575,21 +414,26 @@ let tracefmt_decode ~jobs () =
          ("v2_decode_seconds", Json.float d2);
          ("v1_decode_mevents_per_s", Json.float (rate d1));
          ("v2_decode_mevents_per_s", Json.float (rate d2));
-         ("replay", Json.List replay_points) ])
+         ("v1_replay_seconds", Json.float r1);
+         ("v2_replay_seconds", Json.float r2);
+         ("v1_replay_mevents_per_s", Json.float (rate r1));
+         ("v2_replay_mevents_per_s", Json.float (rate r2));
+         ("v1_replay_mb_per_s", Json.float (mbs b1 r1));
+         ("v2_replay_mb_per_s", Json.float (mbs b2 r2));
+         ("v2_vs_v1_replay_speedup", Json.float speedup);
+         ("counts_identical", Json.Bool true) ])
 
 (* the scale-up path: stream a >=10^8-event recording to disk (constant
-   memory while recording), then replay it through the sharded streamed
-   engine — the whole point of v2 is that neither side ever holds the
+   memory while recording), then replay it through the streamed fused
+   loop — the whole point of v2 is that neither side ever holds the
    trace, so peak heap stays at the decode window while the file runs
    to hundreds of megabytes *)
 
-let tracefmt_scale ~jobs () =
+let tracefmt_scale () =
   section "Trace format v2 - 10^8-event recordings streamed end to end \
-           (record -> v2 file -> sharded streamed replay, bounded heap)";
-  let module R = Fs_replay.Replay in
+           (record -> v2 file -> streamed replay, bounded heap)";
   let t0 = Unix.gettimeofday () in
   let target = 100_000_000 in
-  let shards = max 2 (min 4 jobs) in
   let payloads =
     List.map
       (fun name ->
@@ -637,17 +481,18 @@ let tracefmt_scale ~jobs () =
         let layout = Layout.default prog ~block:128 in
         let config = C.default_config ~nprocs ~block:128 in
         let s = Ct.of_file_stream path in
-        let st, replay_s =
-          time_it (fun () ->
-              R.simulate_sharded_stream s ~shards ~layout ~config)
+        let counts, replay_s =
+          time_it (fun () -> stream_counts s ~layout ~config)
         in
-        assert (C.accesses st.R.counts > 0);
-        let epochs = Array.length st.R.epochs in
-        (* the decode window: (jobs + 1) block buffers of boxed ints — the
-           streamed engine's whole per-trace allocation *)
-        let window_bytes =
-          (shards + 1) * Ct.Stream.max_block_events s * 8
+        assert (C.accesses counts > 0);
+        let epochs =
+          match Ct.Stream.epochs s with
+          | Some rel -> Array.length rel + 1
+          | None -> 1
         in
+        (* the decode window: one block buffer of boxed ints — the
+           streamed replay's whole per-trace allocation *)
+        let window_bytes = Ct.Stream.max_block_events s * 8 in
         Ct.Stream.close s;
         Sys.remove path;
         let top_heap_mb =
@@ -660,12 +505,12 @@ let tracefmt_scale ~jobs () =
         in
         Printf.printf
           "%-10s %9d events -> %d bytes (%.2f B/event) in %.1fs; streamed \
-           replay %.1fs (%.1f Mevents/s, %.1f MB/s, %d shards, %d epochs)\n\
+           replay %.1fs (%.1f Mevents/s, %.1f MB/s, %d epochs)\n\
            %-10s decode window %.1f MB, process top-of-heap %.1f MB (the \
            in-memory trace alone would need %.0f MB)\n"
           name events bytes
           (float_of_int bytes /. float_of_int events)
-          record_s replay_s rate mbs shards epochs ""
+          record_s replay_s rate mbs epochs ""
           (float_of_int window_bytes /. (1024. *. 1024.))
           top_heap_mb
           (float_of_int (events * 8) /. (1024. *. 1024.));
@@ -681,7 +526,6 @@ let tracefmt_scale ~jobs () =
             ("replay_seconds", Json.float replay_s);
             ("replay_mevents_per_s", Json.float rate);
             ("replay_mb_per_s", Json.float mbs);
-            ("shards", Json.Int shards);
             ("epochs", Json.Int epochs);
             ("decode_window_bytes", Json.Int window_bytes);
             ("top_heap_mb", Json.float top_heap_mb) ])
@@ -917,102 +761,6 @@ let phases_bench () =
          ("plain_seconds", Json.float plain);
          ("tracked_seconds", Json.float tracked);
          ("ratio", Json.float ratio) ])
-
-(* ------------------------------------------------------------------ *)
-(* Sharded replay: deterministic bit-identity + epoch reconciliation.
-   Unlike the simspeed scaling curve (wall-clock, nondeterministic),
-   everything here is exact experiment data, so the baseline gate
-   compares it bit for bit.                                            *)
-
-let sharded_bench () =
-  section "Sharded replay - bit-identity vs the listener path \
-           (pverify and topopt, unoptimized, 16B and 128B)";
-  let module R = Fs_replay.Replay in
-  let t0 = Unix.gettimeofday () in
-  let rows = ref [] in
-  let payloads =
-    List.concat_map
-      (fun name ->
-        let w = Ws.find name in
-        let nprocs = w.W.fig3_procs in
-        let prog = w.W.build ~nprocs ~scale:w.W.default_scale in
-        let recorded = Sim.record prog ~nprocs in
-        (* the same trace from disk: every point below also replays the
-           v2 file through the streamed engine and must land on the same
-           counts, so the bit-identity evidence covers the on-disk path
-           and reports the bytes it read *)
-        let v2_path = tmp_trace ("sharded-" ^ name) in
-        Ct.write_file recorded.Sim.trace v2_path;
-        let stream = Ct.of_file_stream v2_path in
-        let trace_bytes = Ct.Stream.byte_size stream in
-        let out =
-          List.concat_map
-            (fun block ->
-              let layout = Layout.default prog ~block in
-              let config = C.default_config ~nprocs ~block in
-              let reference =
-                let c = C.create ~max_addr:(Layout.size layout) config in
-                Fs_replay.Replay.replay_to_sink recorded.Sim.trace ~layout
-                  ~sink:(C.sink c);
-                C.counts c
-              in
-              List.map
-                (fun shards ->
-                  let s =
-                    R.simulate_sharded recorded.Sim.trace ~shards ~layout
-                      ~config
-                  in
-                  let identical = s.R.counts = reference in
-                  let esum = C.zero_counts () in
-                  Array.iter (fun e -> C.add_into esum e) s.R.epochs;
-                  let epochs_sum_ok = esum = s.R.counts in
-                  let streamed, stream_s =
-                    time_it (fun () ->
-                        R.simulate_sharded_stream stream ~shards ~layout
-                          ~config)
-                  in
-                  let stream_identical = streamed.R.counts = reference in
-                  (* load-bearing: a drifted shard must fail the bench run
-                     itself, not just the baseline diff *)
-                  assert identical;
-                  assert epochs_sum_ok;
-                  assert stream_identical;
-                  let mbs =
-                    float_of_int trace_bytes /. (1024. *. 1024.)
-                    /. Float.max 1e-9 stream_s
-                  in
-                  rows :=
-                    [ name; string_of_int block; string_of_int shards;
-                      string_of_int (C.misses s.R.counts);
-                      string_of_int s.R.counts.C.false_sh;
-                      string_of_int (Array.length s.R.epochs); "yes";
-                      Printf.sprintf "%.0f" mbs ]
-                    :: !rows;
-                  Json.Obj
-                    [ ("workload", Json.String name);
-                      ("block", Json.Int block);
-                      ("shards", Json.Int shards);
-                      ("identical", Json.Bool identical);
-                      ("epochs", Json.Int (Array.length s.R.epochs));
-                      ("epochs_sum_ok", Json.Bool epochs_sum_ok);
-                      ("stream_identical", Json.Bool stream_identical);
-                      ("trace_bytes", Json.Int trace_bytes);
-                      ("counts", Emit.counts s.R.counts) ])
-                [ 1; 2; 4 ])
-            [ 16; 128 ]
-        in
-        Ct.Stream.close stream;
-        Sys.remove v2_path;
-        out)
-      [ "pverify"; "topopt" ]
-  in
-  print_string
-    (Fs_util.Table.render
-       ~header:
-         [ "program"; "block"; "shards"; "misses"; "false sh"; "epochs";
-           "identical"; "stream MB/s" ]
-       (List.rev !rows));
-  record "sharded" ~seconds:(Unix.gettimeofday () -. t0) (Json.List payloads)
 
 (* ------------------------------------------------------------------ *)
 (* Serving: daemon latency over loopback, cold store vs warm           *)
@@ -1270,7 +1018,6 @@ let () =
   let t0 = Unix.gettimeofday () in
   let jobs = ref (Fs_util.Par.default_jobs ()) in
   let tolerance = ref 10.0 in
-  let extra_shards = ref [] in
   let positional = ref [] in
   let rec parse = function
     | [] -> ()
@@ -1279,12 +1026,6 @@ let () =
       parse rest
     | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
       jobs := int_of_string (String.sub a 7 (String.length a - 7));
-      parse rest
-    | "--shards" :: n :: rest ->
-      extra_shards := int_of_string n :: !extra_shards;
-      parse rest
-    | a :: rest when String.length a > 9 && String.sub a 0 9 = "--shards=" ->
-      extra_shards := int_of_string (String.sub a 9 (String.length a - 9)) :: !extra_shards;
       parse rest
     | "--tolerance" :: f :: rest ->
       tolerance := float_of_string f;
@@ -1312,12 +1053,10 @@ let () =
   if all || gate || pick = "table3" then table3 ~procs ~jobs ();
   if all || gate || pick = "exectime" then exectime ~procs ~jobs ();
   if all || pick = "replay" then replay_bench ~jobs ();
-  if all || gate || pick = "simspeed" then
-    simspeed ~extra_shards:!extra_shards ();
-  if all || gate || pick = "sharded" then sharded_bench ();
+  if all || gate || pick = "simspeed" then simspeed ();
   if all || gate || pick = "tracefmt" then tracefmt ();
-  if all || gate || pick = "tracefmt-decode" then tracefmt_decode ~jobs ();
-  if all || pick = "tracescale" then tracefmt_scale ~jobs ();
+  if all || gate || pick = "tracefmt-decode" then tracefmt_decode ();
+  if all || pick = "tracescale" then tracefmt_scale ();
   if all || gate || pick = "telemetry" then telemetry_bench ();
   if all || gate || pick = "ablation" then ablation ();
   if all || gate || pick = "repair" then repair_bench ~jobs ();

@@ -81,14 +81,6 @@ let jobs_arg =
                  $(b,FALSESHARE_JOBS) environment variable, else the \
                  recommended domain count).")
 
-let shards_arg =
-  Arg.(value
-       & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard the cache replay across $(docv) domains (counts are \
-                 bit-identical to $(b,--shards 1); versions then run \
-                 sequentially so the shard pool owns the cores).")
-
 let layout_arg =
   Arg.(value
        & opt (enum [ ("unoptimized", `U); ("compiler", `C); ("programmer", `P) ]) `U
@@ -185,6 +177,12 @@ let with_telemetry ~cmd ~metrics_out ~spans_out f =
   at_exit finish;
   match Fs_obs.Span.with_ recorder cmd f with
   | v -> finish (); v
+  | exception Fs_layout.Plan.Plan_error msg ->
+    (* a plan that does not fit the program is the user's configuration,
+       not an internal error *)
+    finish ();
+    Printf.eprintf "falseshare: %s: %s\n" cmd msg;
+    exit 1
   | exception e -> finish (); raise e
 
 (* Wrap a subcommand term in the telemetry scope.  The inner term must
@@ -197,11 +195,26 @@ let telemetrize cmd_name thunk_term =
   in
   Term.(const wrap $ metrics_out_arg $ spans_out_arg $ thunk_term)
 
+(* Every subcommand gets its plans here, so this is where a plan that
+   does not fit the program at this configuration is checked — a
+   hand-written regroup by P ways of an array shorter than P, say.  The
+   [Plan_error] is re-raised naming the workload and version, and
+   [with_telemetry] reports it as a one-line error. *)
 let plan_of w version prog ~nprocs ~scale =
-  match version with
-  | `U -> []
-  | `C -> E.plan_for w W.C prog ~nprocs ~scale
-  | `P -> E.plan_for w W.P prog ~nprocs ~scale
+  let v, name =
+    match version with
+    | `U -> (W.N, "unoptimized")
+    | `C -> (W.C, "compiler")
+    | `P -> (W.P, "programmer")
+  in
+  try
+    let plan = E.plan_for w v prog ~nprocs ~scale in
+    Fs_layout.Plan.validate prog plan;
+    plan
+  with Fs_layout.Plan.Plan_error msg ->
+    raise
+      (Fs_layout.Plan.Plan_error
+         (Printf.sprintf "%s, %s plan at P=%d: %s" w.W.name name nprocs msg))
 
 (* --- list --- *)
 
@@ -279,36 +292,26 @@ let source_cmd =
 (* --- sim --- *)
 
 let sim_versions w prog ~nprocs ~scale =
-  List.filter_map
+  List.map
     (fun v ->
       match v with
-      | W.N -> Some ("unoptimized", [])
-      | W.C -> Some ("compiler", E.plan_for w W.C prog ~nprocs ~scale)
-      | W.P -> Some ("programmer", E.plan_for w W.P prog ~nprocs ~scale))
+      | W.N -> ("unoptimized", [])
+      | W.C -> ("compiler", plan_of w `C prog ~nprocs ~scale)
+      | W.P -> ("programmer", plan_of w `P prog ~nprocs ~scale))
     (if List.mem W.N w.W.versions then w.W.versions else W.N :: w.W.versions)
 
 let sim_cmd =
-  let run w nprocs scale block seed jobs shards json () =
+  let run w nprocs scale block seed jobs json () =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
     let versions = sim_versions w prog ~nprocs ~scale in
     let recorded = Sim.record ?sched prog ~nprocs in
     let runs =
-      (* sharded replay parallelizes inside one run, so the versions run
-         sequentially on one shared pool instead of fanning out across
-         domains twice *)
-      if shards > 1 then
-        Fs_util.Par.Pool.with_pool ~jobs:(min shards jobs) (fun pool ->
-            List.map
-              (fun (name, plan) ->
-                (name, Sim.cache_sim ~shards ~pool ~recorded prog plan ~nprocs ~block))
-              versions)
-      else
-        Fs_util.Par.map ~jobs
-          (fun (name, plan) ->
-            (name, Sim.cache_sim ~recorded prog plan ~nprocs ~block))
-          versions
+      Fs_util.Par.map ~jobs
+        (fun (name, plan) ->
+          (name, Sim.cache_sim ~recorded prog plan ~nprocs ~block))
+        versions
     in
     if json then print_json (Emit.sim ~workload:w.W.name ~nprocs ~block runs)
     else begin
@@ -334,7 +337,7 @@ let sim_cmd =
           interpreted once and replayed under each version's layout.")
     (telemetrize "sim"
        Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ sched_seed_arg $ jobs_arg $ shards_arg $ json_arg))
+             $ sched_seed_arg $ jobs_arg $ json_arg))
 
 (* --- speedup --- *)
 
@@ -1037,64 +1040,60 @@ let trace_replay_cmd =
   let workload_pos1 =
     Arg.(required & pos 1 (some wconv) None & info [] ~docv:"WORKLOAD")
   in
-  let run path w scale block version shards jobs json () =
+  let run path w scale block version json () =
     let s = Ct.of_file_stream path in
     let nprocs = Ct.Stream.nprocs s in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
     let plan = plan_of w version prog ~nprocs ~scale in
     let layout = Fs_layout.Layout.realize prog plan ~block in
-    let config = C.default_config ~nprocs ~block in
-    let t0 = Unix.gettimeofday () in
-    let sharded =
-      if shards > 1 then
-        Fs_util.Par.Pool.with_pool ~jobs:(min (max shards 2) jobs) (fun pool ->
-            Fs_replay.Replay.simulate_sharded_stream ~pool s ~shards ~layout
-              ~config)
-      else
-        Fs_replay.Replay.simulate_sharded_stream s ~shards:1 ~layout ~config
+    let cache =
+      C.create ~max_addr:(Fs_layout.Layout.size layout)
+        (C.default_config ~nprocs ~block)
     in
+    let t0 = Unix.gettimeofday () in
+    Fs_replay.Replay.simulate_stream s ~layout ~cache;
     let dt = Unix.gettimeofday () -. t0 in
     let events = Ct.Stream.length s in
     let bytes = Ct.Stream.byte_size s in
     let fmt = Ct.Stream.format s in
+    (* the v2 index lists every barrier release; v1 files have no index *)
+    let epochs = Option.map (fun rel -> Array.length rel + 1) (Ct.Stream.epochs s) in
     Ct.Stream.close s;
-    let c = sharded.Fs_replay.Replay.counts in
+    let c = C.counts cache in
     if json then
       print_json
         (Json.Obj
-           [ ("file", Json.String path);
-             ("workload", Json.String w.W.name);
-             ("format", Json.Int (Ct.format_version fmt));
-             ("nprocs", Json.Int nprocs);
-             ("block", Json.Int block);
-             ("shards", Json.Int shards);
-             ("events", Json.Int events);
-             ("bytes", Json.Int bytes);
-             ("seconds", Json.Float dt);
-             ("mevents_per_s",
-              Json.Float (float_of_int events /. 1e6 /. Float.max 1e-9 dt));
-             ("mb_per_s",
-              Json.Float (float_of_int bytes /. mb /. Float.max 1e-9 dt));
-             ("epochs", Json.Int (Array.length sharded.Fs_replay.Replay.epochs));
-             ("counts",
-              Json.Obj
-                [ ("accesses", Json.Int (C.accesses c));
-                  ("misses", Json.Int (C.misses c));
-                  ("false_sharing", Json.Int c.C.false_sh);
-                  ("true_sharing", Json.Int c.C.true_sh);
-                  ("cold", Json.Int c.C.cold);
-                  ("replacement", Json.Int c.C.repl) ]) ])
+           ([ ("file", Json.String path);
+              ("workload", Json.String w.W.name);
+              ("format", Json.Int (Ct.format_version fmt));
+              ("nprocs", Json.Int nprocs);
+              ("block", Json.Int block);
+              ("events", Json.Int events);
+              ("bytes", Json.Int bytes);
+              ("seconds", Json.Float dt);
+              ("mevents_per_s",
+               Json.Float (float_of_int events /. 1e6 /. Float.max 1e-9 dt));
+              ("mb_per_s",
+               Json.Float (float_of_int bytes /. mb /. Float.max 1e-9 dt)) ]
+           @ (match epochs with Some e -> [ ("epochs", Json.Int e) ] | None -> [])
+           @ [ ("counts",
+                Json.Obj
+                  [ ("accesses", Json.Int (C.accesses c));
+                    ("misses", Json.Int (C.misses c));
+                    ("false_sharing", Json.Int c.C.false_sh);
+                    ("true_sharing", Json.Int c.C.true_sh);
+                    ("cold", Json.Int c.C.cold);
+                    ("replacement", Json.Int c.C.repl) ]) ]))
     else begin
       Printf.printf
         "replayed %s through %s/%s: %d events in %.2fs (%.1f Mevents/s, \
-         %.1f MB/s read, shards %d)\n"
+         %.1f MB/s read)\n"
         path w.W.name
         (match version with `U -> "unoptimized" | `C -> "compiler" | `P -> "programmer")
         events dt
         (float_of_int events /. 1e6 /. Float.max 1e-9 dt)
-        (float_of_int bytes /. mb /. Float.max 1e-9 dt)
-        shards;
+        (float_of_int bytes /. mb /. Float.max 1e-9 dt);
       let header = [ "accesses"; "misses"; "false sharing"; "miss rate" ] in
       print_string
         (Fs_util.Table.render ~header
@@ -1108,13 +1107,13 @@ let trace_replay_cmd =
     (Cmd.info "replay"
        ~doc:
          "Replay a recorded trace file through a workload's layout with \
-          the streamed sharded engine (decode pipelined onto the pool), \
-          reporting counts, Mevents/s, and effective read bandwidth.  The \
-          processor count comes from the trace; pass the same \
-          $(b,--scale) the recording used.")
+          the fused engine, one decoded block at a time, reporting counts, \
+          Mevents/s, and effective read bandwidth.  The processor count \
+          comes from the trace; pass the same $(b,--scale) the recording \
+          used.")
     (telemetrize "trace-replay"
        Term.(const run $ trace_file_arg $ workload_pos1 $ scale_arg
-             $ block_arg $ layout_arg $ shards_arg $ jobs_arg $ json_arg))
+             $ block_arg $ layout_arg $ json_arg))
 
 let trace_cmd =
   Cmd.group

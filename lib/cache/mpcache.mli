@@ -181,91 +181,3 @@ val lines : t -> line list
 val state_of : t -> proc:int -> addr:int -> [ `Modified | `Shared | `Invalid ]
 (** Protocol state of the block containing [addr] in [proc]'s cache
     (Invalid when never present or evicted) — for invariant tests. *)
-
-(** {1 Sharding}
-
-    A block's coherence lifecycle depends only on the accesses that touch
-    that block, and LRU replacement couples blocks only within a cache
-    {e set} — so partitioning the address space {e by set} across several
-    simulator instances, each replaying its substream in trace order,
-    reproduces the unsharded run's counts bit for bit.  {!shard_of_addr}
-    is that set-aligned hash; {!Shard} wraps one slab; the [merged_*]
-    functions reassemble whole-run results. *)
-
-type sharding
-(** Precomputed geometry (block shift, set count) of one {!config}. *)
-
-val sharding : config -> sharding
-
-val shard_of_addr : sharding -> shards:int -> addr:int -> int
-(** The shard in [0 .. shards - 1] owning [addr]'s cache set.  All
-    addresses of one block — and all blocks of one LRU set — map to the
-    same shard, for any [shards >= 1]. *)
-
-val merge_counts : counts -> counts -> counts
-(** Fresh field-wise sum.  Associative and commutative, so shard merge
-    order never matters (pinned by a QCheck property). *)
-
-val merged_counts : t array -> counts
-(** Field-wise sum of every simulator's totals. *)
-
-val merged_proc_counts : t array -> counts array
-(** Per-processor sums across shards.
-    @raise Invalid_argument on mismatched processor counts. *)
-
-val merged_per_block : t array -> (int * counts) list
-(** Union of the shards' per-block tables, sorted by block; a block
-    present in several shards (impossible under set-aligned sharding)
-    has its counts summed.
-    @raise Invalid_argument unless all created with [~track_blocks:true]. *)
-
-val merged_pairs : t array -> pair list
-(** Union of the shards' invalidation pairs, sorted by
-    (block, src, victim).
-    @raise Invalid_argument if a pair appears in two shards, or unless
-    all created with [~track_pairs:true]. *)
-
-val merged_lines : t array -> line list
-(** Union of the shards' line records, sorted by block.
-    @raise Invalid_argument if a block appears in two shards, or unless
-    all created with [~track_lines:true]. *)
-
-(** One shard-local slab: a full simulator plus the ownership test.  The
-    hot path ({!Shard.touch}) is the unsharded one — sharding adds no
-    per-reference cost, only the partitioning done by the caller. *)
-module Shard : sig
-  type cache := t
-  type t
-
-  val create :
-    ?track_blocks:bool ->
-    ?track_pairs:bool ->
-    ?track_lines:bool ->
-    ?max_addr:int ->
-    shards:int ->
-    index:int ->
-    config ->
-    t
-  (** @raise Invalid_argument unless [0 <= index < shards]. *)
-
-  val cache : t -> cache
-  (** The underlying simulator — query it with {!counts}, {!per_block},
-      etc., or pass the whole slab array to the [merged_*] functions. *)
-
-  val index : t -> int
-  val shards : t -> int
-
-  val owns : t -> addr:int -> bool
-  (** Whether this shard's slab simulates [addr]'s set.  Feeding a shard
-      an address it does not own is not checked — the partitioner is
-      responsible — and breaks the bit-identity guarantee. *)
-
-  val access_raw : t -> proc:int -> write:bool -> addr:int -> int
-  (** The packed allocation-free outcome of one reference, identical to
-      the unsharded simulator's internal hot path: bits 0-2 the outcome
-      code (0 hit, 1 upgrade, 2 cold, 3 replacement, 4 true sharing,
-      5 false sharing), bits 3-11 provider + 1, bits 12+ the number of
-      remote copies invalidated. *)
-
-  val touch : t -> proc:int -> write:bool -> addr:int -> unit
-end

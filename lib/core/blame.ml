@@ -39,8 +39,7 @@ let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
       ~max_addr:(Layout.size layout)
       { Mpcache.nprocs; block; cache_bytes; assoc }
   in
-  Fs_replay.Replay.replay_to_sink recorded.Sim.trace ~layout
-    ~sink:(Mpcache.sink cache);
+  Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache;
   let owner = Attribution.block_owner prog layout ~block in
   (* fold the per-block pair flows onto the owning variables: per variable,
      a (src, victim) -> (upgrades, write misses) accumulator *)

@@ -23,8 +23,6 @@ val run :
   ?options:Fs_transform.Transform.options ->
   ?machine:bool ->
   ?epochs:bool ->
-  ?shards:int ->
-  ?pool:Fs_util.Par.Pool.t ->
   ?plan:Fs_layout.Plan.t ->
   ?profile:Fs_obs.Profile.t ->
   ?sched:Fs_sched.Sched.config ->
@@ -35,14 +33,9 @@ val run :
 (** [machine] (default [false]) also runs the KSR2 model (a second
     interpreter pass).  [epochs] (default [false]) segments the cache
     replay at barrier releases with {!Phases.tracker} and fills in the
-    [epochs] field.  [shards] (default 1) runs the cache replay sharded
-    across domains ({!Fs_replay.Replay.simulate_sharded}, optionally on
-    [pool]) with bit-identical counts and per-block table; it applies
-    only when [epochs] is off — the epoch tracker needs the live
-    listener stream — and a sharded run omits the per-event [interp_*]
-    metrics for the same reason.  [plan] overrides the compiler's plan
-    for the simulated layout (the compiler analysis still runs and is
-    profiled); by default the compiler's own plan is simulated.
+    [epochs] field.  [plan] overrides the compiler's plan for the
+    simulated layout (the compiler analysis still runs and is profiled);
+    by default the compiler's own plan is simulated.
     [profile] lets the caller pre-record phases of its own (e.g.
     parsing) into the same table.  [sched] seeds the work-stealing
     runtime; required for programs using [spawn]/[sync]. *)

@@ -19,42 +19,22 @@ type cache_run = {
 }
 
 let cache_sim ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(track_blocks = false)
-    ?flight ?(shards = 1) ?pool ?sched ?recorded prog plan ~nprocs ~block =
+    ?flight ?sched ?recorded prog plan ~nprocs ~block =
   let recorded =
     match recorded with Some r -> r | None -> record ?sched prog ~nprocs
   in
   let layout = Layout.realize prog plan ~block in
-  let config = { Mpcache.nprocs; block; cache_bytes; assoc } in
-  (* untracked runs take the fused packed-replay loop — sharded across
-     domains when [shards > 1]; with per-block tracking on, the
-     reference listener path keeps the hot loop honest (and is what
-     epoch/line consumers layer their taps onto).  A flight recorder
-     pins the run to the single-core instrumented loop. *)
-  if (not track_blocks) && flight = None && shards > 1 then begin
-    let sharded =
-      Replay.simulate_sharded ?pool recorded.trace ~shards ~layout ~config
-    in
-    {
-      counts = sharded.Replay.counts;
-      per_block = [];
-      layout_bytes = Layout.size layout;
-      interp = recorded.interp;
-    }
-  end
-  else begin
-    let cache =
-      Mpcache.create ~track_blocks ~max_addr:(Layout.size layout) config
-    in
-    if track_blocks then
-      Replay.replay_to_sink recorded.trace ~layout ~sink:(Mpcache.sink cache)
-    else Replay.simulate ?flight recorded.trace ~layout ~cache;
-    {
-      counts = Mpcache.counts cache;
-      per_block = (if track_blocks then Mpcache.per_block cache else []);
-      layout_bytes = Layout.size layout;
-      interp = recorded.interp;
-    }
-  end
+  let cache =
+    Mpcache.create ~track_blocks ~max_addr:(Layout.size layout)
+      { Mpcache.nprocs; block; cache_bytes; assoc }
+  in
+  Replay.simulate ?flight recorded.trace ~layout ~cache;
+  {
+    counts = Mpcache.counts cache;
+    per_block = (if track_blocks then Mpcache.per_block cache else []);
+    layout_bytes = Layout.size layout;
+    interp = recorded.interp;
+  }
 
 type timed_run = { machine : Ksr.result; work : int array }
 

@@ -35,8 +35,6 @@ val cache_sim :
   ?assoc:int ->
   ?track_blocks:bool ->
   ?flight:Fs_replay.Flight.t ->
-  ?shards:int ->
-  ?pool:Fs_util.Par.Pool.t ->
   ?sched:Fs_sched.Sched.config ->
   ?recorded:recorded ->
   Fs_ir.Ast.program ->
@@ -47,12 +45,9 @@ val cache_sim :
 (** Trace-driven simulation of the paper's Section 4 architecture
     (32 KB 4-way L1 per processor unless overridden, infinite L2).
     [recorded] must come from the same program at the same [nprocs].
-    [flight] attaches a {!Fs_replay.Flight} recorder to the fused replay
-    loop (untracked runs only — the tracked listener path ignores it).
-    [shards > 1] routes an untracked, unrecorded run through
-    {!Fs_replay.Replay.simulate_sharded} — counts are bit-identical to
-    the single-core run; [pool] optionally supplies the persistent
-    domain pool to run the shards on. *)
+    The replay runs the fused loop ({!Fs_replay.Replay.simulate}), with
+    or without [track_blocks].  [flight] attaches a {!Fs_replay.Flight}
+    recorder to that loop. *)
 
 type timed_run = {
   machine : Fs_machine.Ksr.result;

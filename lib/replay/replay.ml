@@ -15,6 +15,7 @@ let vars_of prog =
 type oracle = {
   addr : int array array;
   extra : int array array;
+  has_extra : bool;  (* some variable has injected pointer cells *)
 }
 
 let oracle layout ~vars =
@@ -24,9 +25,11 @@ let oracle layout ~vars =
     | exception Not_found ->
       invalid_arg ("Replay.oracle: layout has no variable " ^ name)
   in
+  let extra = Array.map (fun name -> (lookup name).Layout.extra) vars in
   {
     addr = Array.map (fun name -> (lookup name).Layout.addr) vars;
-    extra = Array.map (fun name -> (lookup name).Layout.extra) vars;
+    extra;
+    has_extra = Array.exists (fun ex -> Array.length ex > 0) extra;
   }
 
 let translating o (l : Listener.t) : Cell_listener.t =
@@ -69,23 +72,51 @@ let replay_to_sink trace ~layout ~sink =
    event unpacking, no listener dispatch, and no per-event allocation.
    Only Access events reach the cache — exactly what the listener path
    delivers through [Listener.of_sink], where every other hook is a
-   no-op — so the two paths produce identical counts (property-tested
-   over every workload). *)
+   no-op — so the two paths produce identical counts, and identical
+   per-block, line and pair tables (property-tested over every
+   workload). *)
 
-(* The instrumented twin of the fused loop below.  It is a separate body
-   (not a [match] inside the loop) so the recorder-disabled path pays
-   nothing: no flight means the original loops run untouched.  The event
-   stream is walked in interval-sized chunks — the inner loops are the
-   original bodies verbatim, and all sampling work (an allocation-free
-   ring deposit, plus a backward scan for the most recent access to
-   attribute a current block) happens once per chunk boundary, so the
-   per-event cost of the recorder is exactly zero. *)
-let simulate_recorded trace ~layout ~cache ~(flight : Flight.t) =
-  let o = oracle layout ~vars:(Cell_trace.vars trace) in
+(* The one fused loop: events [lo, hi) of [data] into [cache].  Every
+   fused replay — in-memory, streamed block by block, or cut into
+   flight-recorder intervals — runs this body.  Only indirection layouts
+   inject pointer cells; when none did, the per-event pointer-read check
+   is dropped from the loop. *)
+let fused o cache data lo hi =
   let addr = o.addr and extra = o.extra in
-  let data = Cell_trace.unsafe_data trace in
-  let n = Cell_trace.length trace in
-  let has_extra = Array.exists (fun ex -> Array.length ex > 0) extra in
+  if o.has_extra then
+    for i = lo to hi - 1 do
+      let packed = Array.unsafe_get data i in
+      if Cell_event.packed_is_access packed then begin
+        let proc = Cell_event.packed_proc packed in
+        let cell = Cell_event.packed_cell packed in
+        let var = Cell_event.packed_var packed in
+        let ex = extra.(var) in
+        (* an indirection layout interposes a pointer cell: the read of
+           the pointer happens before the data reference it redirects *)
+        if Array.length ex > 0 && ex.(cell) >= 0 then
+          Mpcache.touch cache ~proc ~write:false ~addr:ex.(cell);
+        Mpcache.touch cache ~proc
+          ~write:(Cell_event.packed_write packed)
+          ~addr:addr.(var).(cell)
+      end
+    done
+  else
+    for i = lo to hi - 1 do
+      let packed = Array.unsafe_get data i in
+      if Cell_event.packed_is_access packed then
+        Mpcache.touch cache
+          ~proc:(Cell_event.packed_proc packed)
+          ~write:(Cell_event.packed_write packed)
+          ~addr:addr.(Cell_event.packed_var packed).(Cell_event.packed_cell
+                                                       packed)
+    done
+
+(* The flight-recorded walk: the same kernel over interval-sized chunks,
+   with all sampling work (an allocation-free ring deposit, plus a
+   backward scan for the most recent access to attribute a current
+   block) done once per chunk boundary, so the per-event cost of the
+   recorder is exactly zero. *)
+let simulate_recorded o data n ~cache ~(flight : Flight.t) =
   let bshift =
     (* block size is a power of two (enforced by Mpcache) *)
     let b = (Mpcache.config cache).Mpcache.block in
@@ -104,7 +135,7 @@ let simulate_recorded trace ~layout ~cache ~(flight : Flight.t) =
       else
         let packed = Array.unsafe_get data i in
         if Cell_event.packed_is_access packed then
-          addr.(Cell_event.packed_var packed).(Cell_event.packed_cell packed)
+          o.addr.(Cell_event.packed_var packed).(Cell_event.packed_cell packed)
         else find (i - 1)
     in
     find i
@@ -113,31 +144,7 @@ let simulate_recorded trace ~layout ~cache ~(flight : Flight.t) =
   let lo = ref 0 in
   while !lo < n do
     let hi = min n (!lo + interval) in
-    if has_extra then
-      for i = !lo to hi - 1 do
-        let packed = Array.unsafe_get data i in
-        if Cell_event.packed_is_access packed then begin
-          let proc = Cell_event.packed_proc packed in
-          let cell = Cell_event.packed_cell packed in
-          let var = Cell_event.packed_var packed in
-          let ex = extra.(var) in
-          if Array.length ex > 0 && ex.(cell) >= 0 then
-            Mpcache.touch cache ~proc ~write:false ~addr:ex.(cell);
-          Mpcache.touch cache ~proc
-            ~write:(Cell_event.packed_write packed)
-            ~addr:addr.(var).(cell)
-        end
-      done
-    else
-      for i = !lo to hi - 1 do
-        let packed = Array.unsafe_get data i in
-        if Cell_event.packed_is_access packed then
-          Mpcache.touch cache
-            ~proc:(Cell_event.packed_proc packed)
-            ~write:(Cell_event.packed_write packed)
-            ~addr:addr.(Cell_event.packed_var packed).(Cell_event.packed_cell
-                                                         packed)
-      done;
+    fused o cache data !lo hi;
     lo := hi;
     (* the final partial chunk also deposits a sample, so short traces
        still record their end state *)
@@ -146,318 +153,13 @@ let simulate_recorded trace ~layout ~cache ~(flight : Flight.t) =
   done
 
 let simulate ?flight trace ~layout ~cache =
-  match flight with
-  | Some fr -> simulate_recorded trace ~layout ~cache ~flight:fr
-  | None ->
   let o = oracle layout ~vars:(Cell_trace.vars trace) in
-  let addr = o.addr and extra = o.extra in
   let data = Cell_trace.unsafe_data trace in
   let n = Cell_trace.length trace in
-  (* only indirection layouts inject pointer cells; when none did, the
-     whole per-event pointer-read check can be dropped from the loop *)
-  let has_extra = Array.exists (fun ex -> Array.length ex > 0) extra in
-  if has_extra then
-    for i = 0 to n - 1 do
-      let packed = Array.unsafe_get data i in
-      if Cell_event.packed_is_access packed then begin
-        let proc = Cell_event.packed_proc packed in
-        let cell = Cell_event.packed_cell packed in
-        let var = Cell_event.packed_var packed in
-        let ex = extra.(var) in
-        (* an indirection layout interposes a pointer cell: the read of
-           the pointer happens before the data reference it redirects *)
-        if Array.length ex > 0 && ex.(cell) >= 0 then
-          Mpcache.touch cache ~proc ~write:false ~addr:ex.(cell);
-        Mpcache.touch cache ~proc
-          ~write:(Cell_event.packed_write packed)
-          ~addr:addr.(var).(cell)
-      end
-    done
-  else
-    for i = 0 to n - 1 do
-      let packed = Array.unsafe_get data i in
-      if Cell_event.packed_is_access packed then
-        Mpcache.touch cache
-          ~proc:(Cell_event.packed_proc packed)
-          ~write:(Cell_event.packed_write packed)
-          ~addr:addr.(Cell_event.packed_var packed).(Cell_event.packed_cell
-                                                       packed)
-    done
+  match flight with
+  | None -> fused o cache data 0 n
+  | Some flight -> simulate_recorded o data n ~cache ~flight
 
-(* ------------------------------------------------------------------ *)
-(* Sharded replay.  The event stream is consumed in chunks; each chunk
-   runs two pool barriers:
-
-   Phase A — every worker scans one slice of the chunk, resolves
-   addresses through the oracle (including the pointer loads an
-   indirection layout injects), and appends packed items to its own
-   per-shard buckets; a barrier-release event deposits an epoch sentinel
-   in {e every} shard's bucket.
-
-   Phase B — every shard drains its buckets in slice order (worker 0's
-   items, then worker 1's, ...), which reconstitutes that shard's
-   substream in exact trace order, and feeds its private slab.
-
-   Bit-identity with the unsharded run rests on two facts: the shard
-   hash is set-aligned (see {!Mpcache.shard_of_addr}), so every
-   comparison the protocol makes is between events of one shard; and
-   both phases preserve each shard's relative event order, so those
-   comparisons resolve identically even though shard-local clock values
-   differ from the global run's.
-
-   Epochs reconcile post hoc: each shard snapshots its counts at every
-   sentinel, and epoch [e]'s merged counts are the summed per-shard
-   deltas between consecutive snapshots — no cross-domain barrier per
-   epoch, and the deltas sum to the whole-run totals by telescoping. *)
-
-module Par = Fs_util.Par
-
-type sharded = {
-  shards : Mpcache.Shard.t array;
-  counts : Mpcache.counts;
-  epochs : Mpcache.counts array;
-}
-
-let sharded_caches s = Array.map Mpcache.Shard.cache s.shards
-
-(* Shard-batch items: address lsl 9 | proc lsl 1 | write, which keeps
-   the Phase B decode to three shifts; -1 is the epoch sentinel (real
-   items are non-negative). *)
-let[@inline] item_pack ~proc ~write ~addr =
-  (addr lsl 9) lor (proc lsl 1) lor (if write then 1 else 0)
-
-let epoch_sentinel = -1
-
-type buf = { mutable b : int array; mutable n : int }
-
-let buf_make () = { b = Array.make 256 0; n = 0 }
-
-let[@inline] buf_push t x =
-  if t.n = Array.length t.b then begin
-    let bigger = Array.make (2 * t.n) 0 in
-    Array.blit t.b 0 bigger 0 t.n;
-    t.b <- bigger
-  end;
-  Array.unsafe_set t.b t.n x;
-  t.n <- t.n + 1
-
-(* The event source: either a closure yielding (buffer, length) chunks
-   in trace order — one whole-array chunk for an in-memory trace — or an
-   open on-disk stream, whose blocks the sharded path decodes on pool
-   workers ahead of the drain (see below). *)
-type feed =
-  | Feed_chunks of ((int array -> int -> unit) -> unit)
-  | Feed_stream of Cell_trace.Stream.t
-
-let run_sharded ~shards:nshards ?pool ?track_blocks ?track_pairs ?track_lines
-    ~vars ~layout ~config feed =
-  if nshards <= 0 then
-    invalid_arg "Replay.simulate_sharded: shards must be >= 1";
-  let o = oracle layout ~vars in
-  let addr = o.addr and extra = o.extra in
-  let has_extra = Array.exists (fun ex -> Array.length ex > 0) extra in
-  let max_addr = Layout.size layout in
-  let slabs =
-    Array.init nshards (fun index ->
-        Mpcache.Shard.create ?track_blocks ?track_pairs ?track_lines ~max_addr
-          ~shards:nshards ~index config)
-  in
-  (* per-shard epoch snapshots, most recent first; index [s] is written
-     only by the one worker that owns shard [s], and read by the caller
-     after the pool barrier *)
-  let snaps = Array.make nshards [] in
-  let feed_sequential f =
-    match feed with
-    | Feed_chunks g -> g f
-    | Feed_stream stream -> Cell_trace.Stream.iter_chunks f stream
-  in
-  (if nshards = 1 then begin
-     (* no partitioning, no pool: the fused loop plus one tag test for
-        the epoch cut, so the shards=1 path tracks the fused number *)
-     let slab = slabs.(0) in
-     let cache = Mpcache.Shard.cache slab in
-     feed_sequential (fun data n ->
-         for i = 0 to n - 1 do
-           let packed = Array.unsafe_get data i in
-           if Cell_event.packed_is_access packed then begin
-             let proc = Cell_event.packed_proc packed in
-             let cell = Cell_event.packed_cell packed in
-             let var = Cell_event.packed_var packed in
-             if has_extra then begin
-               let ex = extra.(var) in
-               if Array.length ex > 0 && ex.(cell) >= 0 then
-                 Mpcache.touch cache ~proc ~write:false ~addr:ex.(cell)
-             end;
-             Mpcache.touch cache ~proc
-               ~write:(Cell_event.packed_write packed)
-               ~addr:addr.(var).(cell)
-           end
-           else if Cell_event.packed_tag packed = Cell_event.tag_barrier_release
-           then
-             snaps.(0) <-
-               Mpcache.copy_counts (Mpcache.counts cache) :: snaps.(0)
-         done)
-   end
-   else begin
-     let pool, own_pool =
-       match pool with
-       | Some p -> (p, false)
-       | None -> (Par.Pool.create ~jobs:(min nshards (Par.default_jobs ())) (), true)
-     in
-     Fun.protect
-       ~finally:(fun () -> if own_pool then Par.Pool.shutdown pool)
-       (fun () ->
-         let jobs = Par.Pool.jobs pool in
-         let sh = Mpcache.sharding config in
-         let buckets =
-           Array.init jobs (fun _ -> Array.init nshards (fun _ -> buf_make ()))
-         in
-         (* [decode_tail w] rides on Phase B: workers that finish their
-            drain early pick up decode work for upcoming blocks of a
-            streamed trace (a no-op for in-memory chunks) *)
-         let process_chunk ~decode_tail data n =
-             Par.Pool.run pool (fun w ->
-                 let row = buckets.(w) in
-                 for s = 0 to nshards - 1 do
-                   row.(s).n <- 0
-                 done;
-                 let lo = n * w / jobs and hi = n * (w + 1) / jobs in
-                 for i = lo to hi - 1 do
-                   let packed = Array.unsafe_get data i in
-                   if Cell_event.packed_is_access packed then begin
-                     let proc = Cell_event.packed_proc packed in
-                     let cell = Cell_event.packed_cell packed in
-                     let var = Cell_event.packed_var packed in
-                     if has_extra then begin
-                       let ex = extra.(var) in
-                       if Array.length ex > 0 && ex.(cell) >= 0 then begin
-                         let a = ex.(cell) in
-                         buf_push
-                           row.(Mpcache.shard_of_addr sh ~shards:nshards
-                                  ~addr:a)
-                           (item_pack ~proc ~write:false ~addr:a)
-                       end
-                     end;
-                     let a = addr.(var).(cell) in
-                     buf_push
-                       row.(Mpcache.shard_of_addr sh ~shards:nshards ~addr:a)
-                       (item_pack ~proc
-                          ~write:(Cell_event.packed_write packed)
-                          ~addr:a)
-                   end
-                   else if
-                     Cell_event.packed_tag packed
-                     = Cell_event.tag_barrier_release
-                   then
-                     for s = 0 to nshards - 1 do
-                       buf_push row.(s) epoch_sentinel
-                     done
-                 done);
-             Par.Pool.run pool (fun k ->
-                 let s = ref k in
-                 while !s < nshards do
-                   let slab = slabs.(!s) in
-                   let cache = Mpcache.Shard.cache slab in
-                   for w = 0 to jobs - 1 do
-                     let b = buckets.(w).(!s) in
-                     let arr = b.b and m = b.n in
-                     for i = 0 to m - 1 do
-                       let item = Array.unsafe_get arr i in
-                       if item >= 0 then
-                         Mpcache.touch cache
-                           ~proc:((item lsr 1) land 0xff)
-                           ~write:(item land 1 = 1)
-                           ~addr:(item lsr 9)
-                       else
-                         snaps.(!s) <-
-                           Mpcache.copy_counts (Mpcache.counts cache)
-                           :: snaps.(!s)
-                     done
-                   done;
-                   s := !s + jobs
-                 done;
-                 decode_tail k)
-         in
-         match feed with
-         | Feed_chunks g ->
-           g (fun data n -> process_chunk ~decode_tail:(fun _ -> ()) data n)
-         | Feed_stream stream ->
-           (* Pipelined decode: a window of [wnd] block buffers is kept
-              decoded ahead of the drain.  The prefill decodes blocks
-              [0 .. wnd - 1] across the pool; thereafter Phase B of block
-              [k] additionally decodes block [k + wnd] (whose slot was
-              freed by Phase A of block [k]) on whichever worker drains
-              its shards first — so decode overlaps the coherence
-              simulation instead of serializing ahead of it.  Claims go
-              through a bounded CAS so a block is decoded exactly once;
-              the Pool.run barrier publishes every decoded buffer before
-              the next Phase A reads it.  Corruption raised by a worker
-              decode re-raises at the caller after the barrier. *)
-           let nb = Cell_trace.Stream.nblocks stream in
-           if nb > 0 then begin
-             let wnd = min nb (jobs + 1) in
-             let mbe = Cell_trace.Stream.max_block_events stream in
-             let bufs = Array.init wnd (fun _ -> Array.make mbe 0) in
-             let lens = Array.make wnd 0 in
-             let next_decode = Atomic.make 0 in
-             let rec try_claim limit =
-               let k = Atomic.get next_decode in
-               if k >= limit then -1
-               else if Atomic.compare_and_set next_decode k (k + 1) then k
-               else try_claim limit
-             in
-             let decode_upto limit _w =
-               let rec go () =
-                 let k = try_claim limit in
-                 if k >= 0 then begin
-                   lens.(k mod wnd) <-
-                     Cell_trace.Stream.decode_block stream k bufs.(k mod wnd);
-                   go ()
-                 end
-               in
-               go ()
-             in
-             Par.Pool.run pool (decode_upto wnd);
-             for k = 0 to nb - 1 do
-               process_chunk
-                 ~decode_tail:(decode_upto (min nb (k + 1 + wnd)))
-                 bufs.(k mod wnd)
-                 lens.(k mod wnd)
-             done
-           end)
-   end);
-  let counts = Mpcache.merged_counts (Array.map Mpcache.Shard.cache slabs) in
-  (* telescoping per-shard snapshot deltas; the tail epoch (after the
-     last release — or the whole run when there is none) closes against
-     the final counts, so the epochs always sum to the totals *)
-  let snap_arrays = Array.map (fun l -> Array.of_list (List.rev l)) snaps in
-  let nrel = Array.length snap_arrays.(0) in
-  Array.iter
-    (fun sn ->
-      if Array.length sn <> nrel then
-        invalid_arg "Replay.simulate_sharded: shards saw different epoch counts")
-    snap_arrays;
-  let epochs = Array.init (nrel + 1) (fun _ -> Mpcache.zero_counts ()) in
-  for s = 0 to nshards - 1 do
-    let sn = snap_arrays.(s) in
-    let prev = ref (Mpcache.zero_counts ()) in
-    for e = 0 to nrel - 1 do
-      Mpcache.add_into epochs.(e) (Mpcache.sub_counts sn.(e) !prev);
-      prev := sn.(e)
-    done;
-    let final = Mpcache.counts (Mpcache.Shard.cache slabs.(s)) in
-    Mpcache.add_into epochs.(nrel) (Mpcache.sub_counts final !prev)
-  done;
-  { shards = slabs; counts; epochs }
-
-let simulate_sharded ?pool ?track_blocks ?track_pairs ?track_lines trace
-    ~shards ~layout ~config =
-  run_sharded ~shards ?pool ?track_blocks ?track_pairs ?track_lines
-    ~vars:(Cell_trace.vars trace) ~layout ~config
-    (Feed_chunks
-       (fun f -> f (Cell_trace.unsafe_data trace) (Cell_trace.length trace)))
-
-let simulate_sharded_stream ?pool ?track_blocks ?track_pairs ?track_lines
-    stream ~shards ~layout ~config =
-  run_sharded ~shards ?pool ?track_blocks ?track_pairs ?track_lines
-    ~vars:(Cell_trace.Stream.vars stream) ~layout ~config (Feed_stream stream)
+let simulate_stream stream ~layout ~cache =
+  let o = oracle layout ~vars:(Cell_trace.Stream.vars stream) in
+  Cell_trace.Stream.iter_chunks (fun data n -> fused o cache data 0 n) stream

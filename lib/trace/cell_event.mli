@@ -50,7 +50,7 @@ val pack_work : proc:int -> amount:int -> int
 
 val tag_barrier_release : int
 (** The {!packed_tag} value of [Barrier_release] — the epoch cut the
-    sharded replay and the phase tracker both key on. *)
+    v2 trace index records. *)
 
 val tag_access : int
 val tag_work : int

@@ -76,47 +76,4 @@ val render_stats : stats -> string
 val set_observer : (stats -> unit) option -> unit
 (** Install (or clear) a process-global hook receiving the [stats] of
     every fan-out, including purely sequential ones.  Called on the
-    fan-out's calling domain after all workers join.  A {!Pool} delivers
-    its cumulative stats to the same hook once, at {!Pool.shutdown}. *)
-
-(** {1 Persistent pool}
-
-    {!map} spawns and joins domains per call — fine for coarse
-    experiment fan-outs, far too expensive for a replay loop that
-    synchronizes once per trace chunk.  A [Pool.t] keeps [jobs - 1]
-    domains alive and reuses them across many {!Pool.run} barriers,
-    amortizing domain startup over a whole replay. *)
-
-module Pool : sig
-  type t
-
-  val create : ?jobs:int -> unit -> t
-  (** Spawn a pool of [jobs] workers total (the calling domain
-      participates as worker 0).  [jobs] defaults to {!default_jobs},
-      clamped to [1, 64]. *)
-
-  val jobs : t -> int
-
-  val run : t -> (int -> unit) -> unit
-  (** One barrier generation: every worker [w] in [0 .. jobs - 1]
-      executes [body w] exactly once, and [run] returns only after all
-      have finished.  The body must be domain-safe and must own any
-      mutable state it touches.  If any worker raises, the first
-      exception observed is re-raised in the caller after the barrier;
-      the pool remains usable.
-      @raise Invalid_argument on a nested [run] from inside a body, or
-      after {!shutdown}. *)
-
-  val stats : t -> stats
-  (** Cumulative measurements over the pool's lifetime: per worker, the
-      number of generations it ran and the time it spent in bodies;
-      [wait_s] is derived as total run wall-clock minus busy time, and
-      [task_count] counts one task per worker per generation. *)
-
-  val shutdown : t -> unit
-  (** Stop and join the workers, then deliver {!stats} to the
-      {!set_observer} hook (if any generations ran).  Idempotent. *)
-
-  val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-  (** [create], run [f], always [shutdown]. *)
-end
+    fan-out's calling domain after all workers join. *)

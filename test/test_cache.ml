@@ -252,9 +252,14 @@ let test_bad_config () =
      | _ -> false
      | exception Invalid_argument _ -> true)
 
-(* Shard-merge of counts is a field-wise sum, so it must be associative
-   and order-independent — the property that makes the sharded replay's
-   merge deterministic whatever order the slabs are combined in. *)
+(* Merging counts is a field-wise sum ([add_into] on a copy), so it must
+   be associative and order-independent — what lets per-epoch and
+   per-processor counts be summed to totals in any order. *)
+let merge a b =
+  let c = C.copy_counts a in
+  C.add_into c b;
+  c
+
 let counts_gen =
   QCheck.Gen.(
     map
@@ -277,15 +282,14 @@ let test_merge_associative =
   QCheck.Test.make ~name:"counts merge is associative" ~count:200
     QCheck.(triple counts_arb counts_arb counts_arb)
     (fun (a, b, c) ->
-      C.merge_counts (C.merge_counts a b) c
-      = C.merge_counts a (C.merge_counts b c))
+      merge (merge a b) c = merge a (merge b c))
 
 let test_merge_order_independent =
   QCheck.Test.make ~name:"counts merge is order-independent" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 8) counts_arb)
     (fun cs ->
       let fold l =
-        List.fold_left C.merge_counts (C.zero_counts ()) l
+        List.fold_left merge (C.zero_counts ()) l
       in
       fold cs = fold (List.rev cs)
       && fold cs = fold (List.sort compare cs))

@@ -1,5 +1,7 @@
 (* The command-line front end, run as a subprocess: argument errors
-   must be usage errors (cmdliner's exit 124), never internal errors. *)
+   must be usage errors (cmdliner's exit 124), and configurations the
+   workload cannot realize plain errors (exit 1), never internal errors;
+   a replayed trace file must land on the in-memory counts. *)
 
 (* next to the test runner in the build tree, wherever it is run from *)
 let exe =
@@ -37,6 +39,85 @@ let test_procs_upper_bound_runs () =
   Alcotest.(check int) "P=256 runs" 0 code;
   Tutil.check_contains "P=256 output" text "\"procs\": 256"
 
+(* fmm's hand-written programmer plan regroups an array of extent 96 by
+   P ways: at P=256 and scale 1 it cannot be realized *)
+let test_unrealizable_plan () =
+  let code, text = run [ "sim"; "fmm"; "-p"; "256"; "-s"; "1" ] in
+  Alcotest.(check int) "plain error exit" 1 code;
+  Alcotest.(check string) "one line"
+    "falseshare: sim: fmm, programmer plan at P=256: regroup of acc: 256 \
+     ways does not fit extent 96"
+    (String.trim text)
+
+let json_of what text =
+  match Fs_obs.Json.of_string text with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s: not JSON (%s): %S" what e text
+
+let field what path j =
+  List.fold_left
+    (fun j k ->
+      match Fs_obs.Json.member k j with
+      | Some v -> v
+      | None -> Alcotest.failf "%s: no field %s" what k)
+    j path
+
+(* [trace replay --json] on a recorded file reports exactly the counts
+   [sim --json] computes in memory for the unoptimized layout, for both
+   formats; the epoch count comes from the v2 index, so v1 omits it *)
+let test_trace_replay_matches_sim () =
+  let args = [ "pverify"; "-p"; "4"; "-s"; "1" ] in
+  let code, text = run ([ "sim" ] @ args @ [ "--json" ]) in
+  Alcotest.(check int) "sim runs" 0 code;
+  let sim =
+    let versions =
+      Option.value ~default:[]
+        (Fs_obs.Json.get_list (field "sim" [ "versions" ] (json_of "sim" text)))
+    in
+    match
+      List.find_opt
+        (fun v ->
+          Fs_obs.Json.member "version" v = Some (Fs_obs.Json.String "unoptimized"))
+        versions
+    with
+    | Some v -> field "sim" [ "counts" ] v
+    | None -> Alcotest.fail "sim: no unoptimized version"
+  in
+  List.iter
+    (fun (format, has_epochs) ->
+      let path = Filename.temp_file "fscli" ".fstrace" in
+      let code, _ =
+        run
+          ([ "trace"; "record" ] @ args
+          @ [ "-o"; path; "--trace-format"; format ])
+      in
+      Alcotest.(check int) ("record v" ^ format) 0 code;
+      let code, text =
+        run [ "trace"; "replay"; path; "pverify"; "-s"; "1"; "--json" ]
+      in
+      Sys.remove path;
+      let what = "replay v" ^ format in
+      Alcotest.(check int) what 0 code;
+      let j = json_of what text in
+      let counts = field what [ "counts" ] j in
+      (match counts with
+       | Fs_obs.Json.Obj kv ->
+         List.iter
+           (fun (k, v) ->
+             Alcotest.(check bool)
+               (Printf.sprintf "%s: %s equals sim" what k)
+               true
+               (Some v = Fs_obs.Json.member k sim))
+           kv
+       | _ -> Alcotest.fail (what ^ ": counts is not an object"));
+      Alcotest.(check bool) (what ^ ": epochs iff v2") has_epochs
+        (Fs_obs.Json.member "epochs" j <> None))
+    [ ("1", false); ("2", true) ]
+
 let suite =
   [ Alcotest.test_case "--procs out of range is a usage error" `Quick test_procs_range;
-    Alcotest.test_case "--procs 256 runs" `Quick test_procs_upper_bound_runs ]
+    Alcotest.test_case "--procs 256 runs" `Quick test_procs_upper_bound_runs;
+    Alcotest.test_case "unrealizable plan is a plain error" `Quick
+      test_unrealizable_plan;
+    Alcotest.test_case "trace replay counts equal sim" `Quick
+      test_trace_replay_matches_sim ]

@@ -16,7 +16,6 @@ let () =
       ("trace", Test_trace.suite);
       ("tracefmt", Test_tracefmt.suite);
       ("replay", Test_replay.suite);
-      ("sharded", Test_sharded.suite);
       ("obs", Test_obs.suite);
       ("serve", Test_serve.suite);
       ("telemetry", Test_telemetry.suite);

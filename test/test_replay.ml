@@ -107,9 +107,10 @@ let test_pointer_loads_injected () =
 
 (* ------------------------------------------------------------------ *)
 (* The fused engine: Replay.simulate must be count-identical to the
-   reference listener path — globally, per processor, and per block —
-   for every workload, both the unoptimized and the compiler layout,
-   and a small and a large block size. *)
+   reference listener path — globally, per processor, per block, and in
+   the line-lifetime and invalidation-pair tables that Hotlines and
+   Blame read — for every workload, both the unoptimized and the
+   compiler layout, and a small and a large block size. *)
 
 let test_fused_equivalence () =
   let nprocs = 4 and scale = 1 in
@@ -125,16 +126,13 @@ let test_fused_equivalence () =
             (fun block ->
               let layout = Layout.realize prog plan ~block in
               let max_addr = Layout.size layout in
-              let reference =
-                Fs_cache.Mpcache.create ~track_blocks:true ~max_addr
-                  (cfg block)
+              let tracked () =
+                Fs_cache.Mpcache.create ~track_blocks:true ~track_lines:true
+                  ~track_pairs:true ~max_addr (cfg block)
               in
+              let reference = tracked () and fused = tracked () in
               Replay.replay_to_sink trace ~layout
                 ~sink:(Fs_cache.Mpcache.sink reference);
-              let fused =
-                Fs_cache.Mpcache.create ~track_blocks:true ~max_addr
-                  (cfg block)
-              in
               Replay.simulate trace ~layout ~cache:fused;
               let what =
                 Printf.sprintf "%s/%s b=%d" w.name
@@ -148,7 +146,13 @@ let test_fused_equivalence () =
                 = Fs_cache.Mpcache.proc_counts fused);
               Alcotest.(check bool) (what ^ ": per-block counts") true
                 (Fs_cache.Mpcache.per_block reference
-                = Fs_cache.Mpcache.per_block fused))
+                = Fs_cache.Mpcache.per_block fused);
+              Alcotest.(check bool) (what ^ ": line tables") true
+                (Fs_cache.Mpcache.lines reference
+                = Fs_cache.Mpcache.lines fused);
+              Alcotest.(check bool) (what ^ ": invalidation pairs") true
+                (Fs_cache.Mpcache.invalidation_pairs reference
+                = Fs_cache.Mpcache.invalidation_pairs fused))
             [ 16; 128 ])
         [ W.N; W.C ])
     Ws.all
@@ -168,6 +172,48 @@ let test_fused_growth () =
   Replay.simulate trace ~layout ~cache:grown;
   Alcotest.(check bool) "growable arrays match presized" true
     (Fs_cache.Mpcache.counts hinted = Fs_cache.Mpcache.counts grown)
+
+(* Streamed replay: a trace written to disk and replayed block by block
+   through the chunked reader — with a chunk far smaller than the trace,
+   so many windows are exercised — lands on the in-memory counts, for
+   both formats; a closed stream refuses further iteration. *)
+let test_stream_replay_identity () =
+  let w = Ws.find "maxflow" in
+  let nprocs = 4 in
+  let prog = w.W.build ~nprocs ~scale:1 in
+  let trace, _ = Interp.record prog ~nprocs in
+  let layout = Layout.default prog ~block:64 in
+  let cache () =
+    Fs_cache.Mpcache.create ~max_addr:(Layout.size layout)
+      (Fs_cache.Mpcache.default_config ~nprocs ~block:64)
+  in
+  let in_memory = cache () in
+  Replay.simulate trace ~layout ~cache:in_memory;
+  let chunk = 1024 in
+  Alcotest.(check bool) "trace spans several chunks" true
+    (Cell_trace.length trace > 2 * chunk);
+  List.iter
+    (fun format ->
+      let what =
+        match format with Cell_trace.V1 -> "v1" | Cell_trace.V2 -> "v2"
+      in
+      let path = Filename.temp_file "fstrace" ".fstrace" in
+      Cell_trace.write_file ~format ~block_events:chunk trace path;
+      let stream = Cell_trace.of_file_stream ~chunk path in
+      Alcotest.(check int) (what ^ ": stream length") (Cell_trace.length trace)
+        (Cell_trace.Stream.length stream);
+      Alcotest.(check bool) (what ^ ": stream vars") true
+        (Cell_trace.Stream.vars stream = Cell_trace.vars trace);
+      let streamed = cache () in
+      Replay.simulate_stream stream ~layout ~cache:streamed;
+      Alcotest.(check bool) (what ^ ": streamed counts identical") true
+        (Fs_cache.Mpcache.counts streamed = Fs_cache.Mpcache.counts in_memory);
+      Cell_trace.Stream.close stream;
+      (match Replay.simulate_stream stream ~layout ~cache:(cache ()) with
+       | () -> Alcotest.fail (what ^ ": expected Invalid_argument after close")
+       | exception Invalid_argument _ -> ());
+      Sys.remove path)
+    [ Cell_trace.V1; Cell_trace.V2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Packing and disk round-trips                                         *)
@@ -369,7 +415,7 @@ let test_memo_eviction () =
   Memo.set_capacity 128;
   Memo.clear ()
 
-(* The memo under concurrent access from pool workers: a tight capacity
+(* The memo under concurrent access from domains: a tight capacity
    forces evictions to race with hits across domains; the invariants are
    that every worker gets a usable entry, bookkeeping balances (each
    lookup is exactly one hit or one miss), and evictions never exceed
@@ -381,18 +427,19 @@ let test_memo_concurrent () =
   let scales = [| 1; 1; 1; 1 |] in
   let lookups_per_worker = 8 in
   let failures = Atomic.make 0 in
-  Par.Pool.with_pool ~jobs:4 (fun pool ->
-      for _ = 1 to 3 do
-        Par.Pool.run pool (fun worker ->
-            for i = 0 to lookups_per_worker - 1 do
-              (* workers hit overlapping keys so hits, misses, and
-                 evictions all occur concurrently *)
-              let nprocs = 2 + ((worker + i) mod 3) in
-              let e = Memo.get w ~nprocs ~scale:scales.(worker mod 4) in
-              if Cell_trace.nprocs e.Memo.trace <> nprocs then
-                Atomic.incr failures
-            done)
-      done);
+  for _ = 1 to 3 do
+    Par.iter ~jobs:4
+      (fun worker ->
+        for i = 0 to lookups_per_worker - 1 do
+          (* workers hit overlapping keys so hits, misses, and
+             evictions all occur concurrently *)
+          let nprocs = 2 + ((worker + i) mod 3) in
+          let e = Memo.get w ~nprocs ~scale:scales.(worker mod 4) in
+          if Cell_trace.nprocs e.Memo.trace <> nprocs then
+            Atomic.incr failures
+        done)
+      [ 0; 1; 2; 3 ]
+  done;
   Alcotest.(check int) "every entry usable" 0 (Atomic.get failures);
   let hits, misses, evictions, _ = Memo.read_stats () in
   let total = 3 * 4 * lookups_per_worker in
@@ -503,6 +550,8 @@ let suite =
     Alcotest.test_case "fused engine count equivalence (all benchmarks)" `Quick
       test_fused_equivalence;
     Alcotest.test_case "fused engine growable arrays" `Quick test_fused_growth;
+    Alcotest.test_case "streamed replay identity" `Quick
+      test_stream_replay_identity;
     Alcotest.test_case "event packing" `Quick test_pack_roundtrip;
     QCheck_alcotest.to_alcotest prop_pack_roundtrip;
     Alcotest.test_case "trace disk round-trip" `Quick test_disk_roundtrip;

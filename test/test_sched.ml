@@ -51,7 +51,7 @@ let test_dstress_conservation () =
     [ 1; 2; 4; 8 ]
 
 (* identical seeds: bit-identical traces, and identical cache counts
-   across record/replay, block sizes, and shard counts *)
+   across record/replay and block sizes *)
 let test_same_seed_identical () =
   List.iter
     (fun (w : W.t) ->
@@ -65,21 +65,20 @@ let test_same_seed_identical () =
       let prog = w.W.build ~nprocs ~scale in
       List.iter
         (fun block ->
-          let base = ref None in
+          let replayed recorded =
+            (Sim.cache_sim ~recorded prog [] ~nprocs ~block).Sim.counts
+          in
+          (* without [~recorded], cache_sim records its own execution *)
+          let fresh =
+            (Sim.cache_sim ~sched:(Sched.seeded 42) prog [] ~nprocs ~block)
+              .Sim.counts
+          in
           List.iter
-            (fun (recorded, shards) ->
-              let run =
-                Sim.cache_sim ~shards ~recorded prog [] ~nprocs ~block
-              in
-              match !base with
-              | None -> base := Some run.Sim.counts
-              | Some c ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s: counts %dB shards=%d" w.W.name block
-                     shards)
-                  true
-                  (c = run.Sim.counts))
-            [ (r1, 1); (r2, 1); (r1, 2); (r2, 3); (r1, 4) ])
+            (fun (what, counts) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: counts %dB (%s)" w.W.name block what)
+                true (counts = fresh))
+            [ ("replay of r1", replayed r1); ("replay of r2", replayed r2) ])
         [ 16; 128 ])
     Fs_workloads.Workloads.dynamic
 

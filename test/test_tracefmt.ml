@@ -65,7 +65,6 @@ let prop_roundtrip =
       let trace = r.Sim.trace in
       let format = if mix / 3 mod 2 = 0 then Ct.V1 else Ct.V2 in
       let block = if big_block then 128 else 16 in
-      let shards = 1 + (mix / 6 mod 2) in
       let version =
         List.nth w.W.versions (mix mod List.length w.W.versions)
       in
@@ -79,20 +78,19 @@ let prop_roundtrip =
         E.plan_for w version prog ~nprocs ~scale:w.W.default_scale
       in
       let layout = Layout.realize prog plan ~block in
-      let config = C.default_config ~nprocs ~block in
-      let reference =
-        (R.simulate_sharded trace ~shards:1 ~layout ~config).R.counts
+      let cache () =
+        C.create ~max_addr:(Layout.size layout) (C.default_config ~nprocs ~block)
       in
+      let reference = cache () and streamed = cache () in
+      R.simulate trace ~layout ~cache:reference;
       let s = Ct.of_file_stream path in
-      let st = R.simulate_sharded_stream s ~shards ~layout ~config in
+      R.simulate_stream s ~layout ~cache:streamed;
       Ct.Stream.close s;
-      if st.R.counts <> reference then
+      if C.counts streamed <> C.counts reference then
         QCheck.Test.fail_reportf
-          "%s: streamed %s counts differ from in-memory (block %d, %d \
-           shard(s))"
-          name
+          "%s: streamed %s counts differ from in-memory (block %d)" name
           (match format with Ct.V1 -> "v1" | Ct.V2 -> "v2")
-          block shards;
+          block;
       true)
 
 (* ------------------------------------------------------------------ *)
