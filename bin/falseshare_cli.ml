@@ -195,26 +195,13 @@ let telemetrize cmd_name thunk_term =
   in
   Term.(const wrap $ metrics_out_arg $ spans_out_arg $ thunk_term)
 
-(* Every subcommand gets its plans here, so this is where a plan that
-   does not fit the program at this configuration is checked — a
-   hand-written regroup by P ways of an array shorter than P, say.  The
-   [Plan_error] is re-raised naming the workload and version, and
-   [with_telemetry] reports it as a one-line error. *)
+(* Every subcommand gets its plans here, validated: a plan that does not
+   fit the program at this configuration raises [Plan_error] naming the
+   workload, version and P, and [with_telemetry] reports it as a
+   one-line error. *)
 let plan_of w version prog ~nprocs ~scale =
-  let v, name =
-    match version with
-    | `U -> (W.N, "unoptimized")
-    | `C -> (W.C, "compiler")
-    | `P -> (W.P, "programmer")
-  in
-  try
-    let plan = E.plan_for w v prog ~nprocs ~scale in
-    Fs_layout.Plan.validate prog plan;
-    plan
-  with Fs_layout.Plan.Plan_error msg ->
-    raise
-      (Fs_layout.Plan.Plan_error
-         (Printf.sprintf "%s, %s plan at P=%d: %s" w.W.name name nprocs msg))
+  let v = match version with `U -> W.N | `C -> W.C | `P -> W.P in
+  E.checked_plan_for w v prog ~nprocs ~scale
 
 (* --- list --- *)
 

@@ -45,6 +45,27 @@ let plan_for (w : Workload.t) version prog ~nprocs ~scale =
             Hashtbl.replace plan_cache key plan);
         plan)
 
+(* A hand-written plan can assume more than the configuration gives (a
+   regroup by P ways of an array shorter than P, say); that is the
+   caller's configuration, not an internal error, so the plan is
+   validated here and its [Plan_error] re-raised naming the workload,
+   the version and P — the one message the CLI and the daemon print. *)
+let checked_plan_for (w : Workload.t) version prog ~nprocs ~scale =
+  try
+    let plan = plan_for w version prog ~nprocs ~scale in
+    Plan.validate prog plan;
+    plan
+  with Plan.Plan_error msg ->
+    let name =
+      match version with
+      | Workload.N -> "unoptimized"
+      | Workload.C -> "compiler"
+      | Workload.P -> "programmer"
+    in
+    raise
+      (Plan.Plan_error
+         (Printf.sprintf "%s, %s plan at P=%d: %s" w.name name nprocs msg))
+
 let recorded_of (e : Trace_memo.entry) =
   { Sim.trace = e.trace; interp = e.interp }
 

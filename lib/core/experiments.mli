@@ -18,6 +18,18 @@ val plan_for :
     (workload, version, nprocs, scale); [prog] must be the workload's
     build at that configuration. *)
 
+val checked_plan_for :
+  Fs_workloads.Workload.t ->
+  version ->
+  Fs_ir.Ast.program ->
+  nprocs:int ->
+  scale:int ->
+  Fs_layout.Plan.t
+(** {!plan_for}, validated against [prog].  A plan that does not fit
+    raises [Fs_layout.Plan.Plan_error] with a one-line message naming
+    the workload, the version and P, e.g.
+    ["fmm, programmer plan at P=256: regroup of acc: ..."]. *)
+
 val recorded_of : Trace_memo.entry -> Sim.recorded
 (** View a memoized trace as a replayable execution — the glue every
     driver (and the feedback layer above this library) uses between

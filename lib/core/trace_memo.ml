@@ -101,18 +101,25 @@ let stamp_of dir k =
 
 (* A disk-loaded trace carries no final memory image, but the summary
    counters of the original run are all derivable from the event
-   stream. *)
+   stream.  Read off the packed words, with no event variant built per
+   event. *)
 let result_of_trace trace =
   let nprocs = Cell_trace.nprocs trace in
   let work = Array.make nprocs 0 in
   let accesses = Array.make nprocs 0 in
   let barriers = ref 0 in
-  Cell_trace.iter
-    (function
-      | Cell_event.Access { proc; _ } -> accesses.(proc) <- accesses.(proc) + 1
-      | Cell_event.Work { proc; amount } -> work.(proc) <- work.(proc) + amount
-      | Cell_event.Barrier_release -> incr barriers
-      | _ -> ())
+  Cell_trace.iter_packed
+    (fun packed ->
+      let tag = Cell_event.packed_tag packed in
+      if tag = Cell_event.tag_access then begin
+        let proc = Cell_event.packed_proc packed in
+        accesses.(proc) <- accesses.(proc) + 1
+      end
+      else if tag = Cell_event.tag_work then begin
+        let proc = Cell_event.packed_proc packed in
+        work.(proc) <- work.(proc) + Cell_event.packed_amount packed
+      end
+      else if tag = Cell_event.tag_barrier_release then incr barriers)
     trace;
   {
     Interp.work;

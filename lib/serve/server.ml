@@ -193,10 +193,14 @@ let parse_params endpoint (req : Http.request) =
       | Some s -> Some s
       | None -> client_err "field %S must be a string" name)
   in
+  (* the CLI's range: trace events carry the processor id in 8 bits *)
+  let max_nprocs = Fs_trace.Cell_event.max_proc + 1 in
   let nprocs = int_field "nprocs" 12 in
-  if nprocs < 1 || nprocs > 64 then client_err "nprocs must be in 1..64";
+  if nprocs < 1 || nprocs > max_nprocs then
+    client_err "nprocs must be in 1..%d" max_nprocs;
   let block = int_field "block" 128 in
-  if block < 4 || block > 4096 then client_err "block must be in 4..4096";
+  if block < 4 || block > 4096 || block land (block - 1) <> 0 then
+    client_err "block must be a power of two in 4..4096";
   let layout =
     let default =
       (* the feedback-flavored endpoints default to the compiler's layout,
@@ -317,17 +321,22 @@ let cache_key p =
 (* ------------------------------------------------------------------ *)
 (* Handlers: each returns the result payload as a JSON string           *)
 
+(* validated like the CLI's plans: one that does not fit the request's
+   configuration raises [Plan_error] with the CLI's one-line message,
+   which [handle_job] answers with a 400 *)
+let plan_for p w v =
+  E.checked_plan_for w v p.pprog ~nprocs:p.pnprocs ~scale:p.pscale
+
 let plan_of p =
   match p.playout with
   | "unoptimized" -> []
   | "compiler" -> (
     match p.pworkload with
-    | Some w -> E.plan_for w W.C p.pprog ~nprocs:p.pnprocs ~scale:p.pscale
+    | Some w -> plan_for p w W.C
     | None -> Sim.compiler_plan p.pprog ~nprocs:p.pnprocs)
   | "programmer" -> (
     match p.pworkload with
-    | Some w when List.mem W.P w.W.versions ->
-      E.plan_for w W.P p.pprog ~nprocs:p.pnprocs ~scale:p.pscale
+    | Some w when List.mem W.P w.W.versions -> plan_for p w W.P
     | Some w -> client_err "workload %S has no programmer layout" w.W.name
     | None -> client_err "a ParC source has no programmer layout")
   | _ -> assert false
@@ -353,11 +362,8 @@ let versions_of p =
       (fun v ->
         match v with
         | W.N -> Some ("unoptimized", [])
-        | W.C ->
-          Some ("compiler", E.plan_for w W.C p.pprog ~nprocs:p.pnprocs ~scale:p.pscale)
-        | W.P ->
-          Some
-            ("programmer", E.plan_for w W.P p.pprog ~nprocs:p.pnprocs ~scale:p.pscale))
+        | W.C -> Some ("compiler", plan_for p w W.C)
+        | W.P -> Some ("programmer", plan_for p w W.P))
       (if List.mem W.N w.W.versions then w.W.versions else W.N :: w.W.versions)
   | None ->
     [ ("unoptimized", []);
@@ -576,6 +582,9 @@ let handle_job t job =
       (200, body, cached, coalesced)
     | exception Client_error m -> (400, json_error m, false, false)
     | exception Http.Bad_request m -> (400, json_error m, false, false)
+    | exception Fs_layout.Plan.Plan_error m ->
+      (* the plan does not fit the requested configuration *)
+      (400, json_error m, false, false)
     | exception e ->
       (500, json_error (Printf.sprintf "internal error: %s" (Printexc.to_string e)),
        false, false)

@@ -91,26 +91,14 @@ let[@inline] packed_amount packed = packed lsr 12
 let[@inline] packed_grant_from1 packed = (packed lsr 20) land 0x1ff
 let[@inline] packed_grant_cell packed = packed lsr 29
 
-(* Unchecked constructors over already-validated fields, for the v2 trace
-   decoder: it range-checks every decoded field itself (so corruption
-   surfaces as [Cell_trace.Corrupt], not [Invalid_argument]) and then
-   builds the packed form without paying [pack]'s checks per event. *)
+(* Unchecked constructors over already-validated fields, behind the
+   checked [pack_access] / [pack_work] below. *)
 let[@inline] unsafe_pack_access ~write ~proc ~var ~cell =
   tag_access
   lor ((if write then 1 else 0) lsl 3)
   lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
 
 let[@inline] unsafe_pack_work ~proc ~amount = tag_work lor (proc lsl 4) lor (amount lsl 12)
-let[@inline] unsafe_pack_barrier_arrive ~proc = tag_barrier_arrive lor (proc lsl 4)
-
-let[@inline] unsafe_pack_lock_wait ~proc ~var ~cell =
-  tag_lock_wait lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
-
-let[@inline] unsafe_pack_lock_grant ~proc ~var ~from1 ~cell =
-  tag_lock_grant lor (proc lsl 4) lor (var lsl 12) lor (from1 lsl 20) lor (cell lsl 29)
-
-let[@inline] unsafe_pack_steal ~thief ~victim ~task =
-  tag_steal lor (thief lsl 4) lor (victim lsl 12) lor (task lsl 20)
 
 (* Checked packing without the variant: the interpreter's per-event
    path.  Same range checks and messages as [pack]; the checks are merged

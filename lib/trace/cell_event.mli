@@ -91,18 +91,4 @@ val max_wide_cell : int
 
 val max_amount : int
 
-(** {1 Unchecked packing}
-
-    Constructors that skip {!pack}'s range checks, for the v2 trace
-    decoder, which validates decoded fields itself before packing.
-    Out-of-range arguments silently corrupt neighbouring fields — only
-    call these with values already checked against the bounds above. *)
-
-val unsafe_pack_access : write:bool -> proc:int -> var:int -> cell:int -> int
-val unsafe_pack_work : proc:int -> amount:int -> int
-val unsafe_pack_barrier_arrive : proc:int -> int
-val unsafe_pack_lock_wait : proc:int -> var:int -> cell:int -> int
-val unsafe_pack_lock_grant : proc:int -> var:int -> from1:int -> cell:int -> int
-val unsafe_pack_steal : thief:int -> victim:int -> task:int -> int
-
 val pp : Format.formatter -> t -> unit

@@ -78,9 +78,9 @@ let equal a b =
    Blocks are located through the index (the footer trails its payload,
    so a forward scan cannot skip a block without decoding it); the
    trailer is found from the end of the file.  Each block's delta state
-   resets, so any block decodes independently — that is what lets the
-   streamed replay hand blocks to pool workers in parallel and lets an
-   epoch seek start at a block boundary.
+   resets, so any block decodes independently — that is what bounds the
+   streamed replay's heap by one block buffer and lets an epoch seek
+   start at a block boundary.
 
    Per-event encoding inside a block.  The lead byte's low 3 bits are
    the event tag, with two pseudo-tags for the hot path:
@@ -463,7 +463,9 @@ let write_file ?format ?block_events t path =
 (* ------------------------------------------------------------------ *)
 (* v2 decoder, over the whole file as a byte bigarray (memory map or a
    slurped channel).  All scratch is per call, so concurrent decodes of
-   different blocks of one open stream are safe. *)
+   different blocks of one open stream are safe.  Each block is
+   CRC-checked (slicing-by-8, [Fs_util.Crc32]) before one pass of
+   [decode_v2_payload] unpacks it. *)
 
 type bigstring = Fs_util.Crc32.bigstring
 
@@ -480,137 +482,243 @@ let get64 (map : bigstring) i =
   done;
   !v
 
-let read_varint map pos limit ~block =
-  let v = ref 0 and shift = ref 0 and continue = ref true in
+(* Unchecked packing over fields the decoder has already range-checked
+   (so corruption surfaces as [Corrupt], not [Invalid_argument]).  These
+   mirror [Cell_event]'s bit layout; they live here rather than behind
+   calls into that module because dev builds compile with [-opaque],
+   which would turn every decoded event into a cross-module call.  The
+   disk round-trip properties compare every decoded event with its
+   packed original, which pins the two together.  [wbit] is the write
+   flag already in place (8 or 0), taken from the lead byte without a
+   branch. *)
+let[@inline] pack_access ~wbit ~proc ~var ~cell =
+  wbit lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
+
+let[@inline] pack_work ~proc ~amount = 1 lor (proc lsl 4) lor (amount lsl 12)
+let[@inline] pack_barrier_arrive ~proc = 2 lor (proc lsl 4)
+
+let[@inline] pack_lock_wait ~proc ~var ~cell =
+  4 lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
+
+let[@inline] pack_lock_grant ~proc ~var ~from1 ~cell =
+  5 lor (proc lsl 4) lor (var lsl 12) lor (from1 lsl 20) lor (cell lsl 29)
+
+let[@inline] pack_steal ~thief ~victim ~task =
+  6 lor (thief lsl 4) lor (victim lsl 12) lor (task lsl 20)
+
+(* [Corrupt] for block [block], built but not raised: the decoder writes
+   [raise (bad block ...)], so the compiler sees that control ends there
+   and keeps no loop state live across the message formatting. *)
+let bad block fmt =
+  Printf.ksprintf (fun s -> Corrupt (Printf.sprintf "block %d: %s" block s)) fmt
+
+(* One block's payload bounds, plus where the last [varint] stopped: the
+   payload loop keeps its read position in a local and reads the new
+   one back from [c_end] after a slow-path call, so the position never
+   lives in memory on the hot path. *)
+type cursor = {
+  c_map : bigstring;
+  c_limit : int;
+  c_block : int;
+  mutable c_end : int;
+}
+
+(* The varint of any length at [pos]; sets [c.c_end] past it and
+   allocates nothing. *)
+let varint c pos =
+  let v = ref 0 and shift = ref 0 and p = ref pos and continue = ref true in
   while !continue do
-    if !pos >= limit then corrupt "block %d: truncated varint" block;
-    if !shift > 62 then corrupt "block %d: varint too long" block;
-    let b = get_byte map !pos in
-    incr pos;
+    if !p >= c.c_limit then raise (bad c.c_block "truncated varint");
+    if !shift > 62 then raise (bad c.c_block "varint too long");
+    let b = get_byte c.c_map !p in
+    incr p;
     v := !v lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
     if b < 0x80 then continue := false
   done;
+  c.c_end <- !p;
   !v
 
 (* Decode [count] events of the payload at [pos, pos + plen) into
    [dst.(dst_off ..)].  Every decoded field is range-checked before the
    unchecked pack, so data that defeats the CRC still cannot produce
-   packed events outside the event invariants. *)
+   packed events outside the event invariants.
+
+   The hot fields (proc, var delta, cell delta, amount delta) are almost
+   always one-byte varints; each decodes its first byte inline, with the
+   bounds test folded in: past the end the byte reads as 0x80, a
+   continuation, and [varint] raises the truncation.  Stores into [dst]
+   are unchecked after the one range test up front; reads of [last_var]
+   and [last_cell] are unchecked only behind the proc and var range
+   checks. *)
 let decode_v2_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
+  if dst_off < 0 || count < 0 || dst_off > Array.length dst - count then
+    invalid_arg "Cell_trace: decode destination too small";
   let limit = pos + plen in
-  let pos = ref pos in
+  let cur = { c_map = map; c_limit = limit; c_block = block; c_end = pos } in
+  let p = ref pos in
   let last_var = Array.make (max 1 nprocs) 0 in
   let last_amount = Array.make (max 1 nprocs) 0 in
   let last_cell = Array.make (max 1 (nprocs * nvars)) 0 in
   let prev_proc = ref 0 in
   for n = dst_off to dst_off + count - 1 do
-    if !pos >= limit then corrupt "block %d: truncated payload" block;
-    let b = get_byte map !pos in
-    incr pos;
+    if !p >= limit then raise (bad block "truncated payload");
+    let b = get_byte map !p in
+    incr p;
     let tag = b land 7 in
     if tag >= 6 then begin
       let q = b lsr 3 in
-      if q = 30 then begin
-        (* 0xF6: steal escape (0xFE stays reserved) *)
-        if tag = 7 then corrupt "block %d: reserved proc code" block;
-        let thief = read_varint map pos limit ~block in
-        let victim = read_varint map pos limit ~block in
-        let task = read_varint map pos limit ~block in
-        if thief >= nprocs || victim >= nprocs then
-          corrupt "block %d: steal proc out of range" block;
-        if task > Cell_event.max_wide_cell then
-          corrupt "block %d: task out of range" block;
-        dst.(n) <- Cell_event.unsafe_pack_steal ~thief ~victim ~task;
-        prev_proc := thief
-      end
-      else begin
-        (* compact access *)
+      if q <> 30 then begin
+        (* compact access: var and cell implied, proc inline or (q = 31)
+           an explicit varint *)
         let proc =
-          if q = 31 then read_varint map pos limit ~block
-          else !prev_proc + unzigzag q
+          if q < 30 then !prev_proc + unzigzag q
+          else begin
+            let v = varint cur !p in
+            p := cur.c_end;
+            v
+          end
         in
         if proc < 0 || proc >= nprocs then
-          corrupt "block %d: proc %d out of range" block proc;
-        let var = last_var.(proc) in
+          raise (bad block "proc %d out of range" proc);
+        let var = Array.unsafe_get last_var proc in
+        (* only an empty variable table leaves the initial 0 invalid *)
+        if var >= nvars then raise (bad block "var %d out of range" var);
         let ctx = (proc * nvars) + var in
-        let cell = last_cell.(ctx) + 1 in
+        let cell = Array.unsafe_get last_cell ctx + 1 in
         if cell > Cell_event.max_wide_cell then
-          corrupt "block %d: cell out of range" block;
-        dst.(n) <- Cell_event.unsafe_pack_access ~write:(tag = 7) ~proc ~var ~cell;
-        last_cell.(ctx) <- cell;
+          raise (bad block "cell out of range");
+        Array.unsafe_set dst n
+          (pack_access ~wbit:((tag land 1) lsl 3) ~proc ~var ~cell);
+        Array.unsafe_set last_cell ctx cell;
         prev_proc := proc
+      end
+      else begin
+        (* 0xF6: steal escape (0xFE stays reserved) *)
+        if tag = 7 then raise (bad block "reserved proc code");
+        let thief = varint cur !p in
+        let victim = varint cur cur.c_end in
+        let task = varint cur cur.c_end in
+        p := cur.c_end;
+        if thief < 0 || thief >= nprocs || victim < 0 || victim >= nprocs then
+          raise (bad block "steal proc out of range");
+        if task < 0 || task > Cell_event.max_wide_cell then
+          raise (bad block "task out of range");
+        Array.unsafe_set dst n (pack_steal ~thief ~victim ~task);
+        prev_proc := thief
       end
     end
     else if tag = 3 then begin
-      if b <> 3 then corrupt "block %d: bad release lead byte" block;
-      dst.(n) <- Cell_event.tag_barrier_release
+      if b <> 3 then raise (bad block "bad release lead byte");
+      Array.unsafe_set dst n Cell_event.tag_barrier_release
     end
     else begin
+      (* standard form: proc code 0 and 1 are offsets from the previous
+         proc, 2 an explicit varint *)
+      let pcode = (b lsr 4) land 3 in
       let proc =
-        match (b lsr 4) land 3 with
-        | 0 -> !prev_proc
-        | 1 -> !prev_proc + 1
-        | 2 -> read_varint map pos limit ~block
-        | _ -> corrupt "block %d: reserved proc code" block
+        if pcode < 2 then !prev_proc + pcode
+        else if pcode = 2 then begin
+          let v = if !p < limit then get_byte map !p else 0x80 in
+          if v < 0x80 then (incr p; v)
+          else begin
+            let v = varint cur !p in
+            p := cur.c_end;
+            v
+          end
+        end
+        else raise (bad block "reserved proc code")
       in
       if proc < 0 || proc >= nprocs then
-        corrupt "block %d: proc %d out of range" block proc;
-      (match tag with
-      | 0 | 4 | 5 ->
-        let dv = unzigzag (read_varint map pos limit ~block) in
-        let var = last_var.(proc) + dv in
-        if var < 0 || var >= nvars then
-          corrupt "block %d: var %d out of range" block var;
-        let ctx = (proc * nvars) + var in
-        let d =
-          match b lsr 6 with
-          | 0 -> 1
-          | 1 -> 0
-          | 2 -> unzigzag (read_varint map pos limit ~block)
-          | _ -> corrupt "block %d: reserved cell code" block
-        in
-        let cell = last_cell.(ctx) + d in
-        if cell < 0 then corrupt "block %d: cell out of range" block;
-        (if tag = 5 then begin
-           let from1 = read_varint map pos limit ~block in
-           if from1 > Cell_event.max_proc + 1 then
-             corrupt "block %d: bad lock source" block;
-           if cell > Cell_event.max_cell then
-             corrupt "block %d: cell out of range" block;
-           dst.(n) <- Cell_event.unsafe_pack_lock_grant ~proc ~var ~from1 ~cell
-         end
-         else begin
-           if cell > Cell_event.max_wide_cell then
-             corrupt "block %d: cell out of range" block;
-           dst.(n) <-
-             (if tag = 0 then
-                Cell_event.unsafe_pack_access ~write:(b land 8 <> 0) ~proc ~var
-                  ~cell
-              else Cell_event.unsafe_pack_lock_wait ~proc ~var ~cell)
-         end);
-        last_var.(proc) <- var;
-        last_cell.(ctx) <- cell
-      | 1 ->
+        raise (bad block "proc %d out of range" proc);
+      if tag = 1 then begin
         let amount =
           match b lsr 6 with
-          | 0 -> last_amount.(proc)
-          | 2 -> last_amount.(proc) + unzigzag (read_varint map pos limit ~block)
-          | _ -> corrupt "block %d: reserved amount code" block
+          | 0 -> Array.unsafe_get last_amount proc
+          | 2 ->
+            let v = if !p < limit then get_byte map !p else 0x80 in
+            let v =
+              if v < 0x80 then (incr p; v)
+              else begin
+                let v = varint cur !p in
+                p := cur.c_end;
+                v
+              end
+            in
+            Array.unsafe_get last_amount proc + unzigzag v
+          | _ -> raise (bad block "reserved amount code")
         in
         if amount < 0 || amount > Cell_event.max_amount then
-          corrupt "block %d: amount out of range" block;
-        dst.(n) <- Cell_event.unsafe_pack_work ~proc ~amount;
-        last_amount.(proc) <- amount
-      | 2 ->
-        if b lsr 6 <> 0 then corrupt "block %d: bad arrive lead byte" block;
-        dst.(n) <- Cell_event.unsafe_pack_barrier_arrive ~proc
-      | _ -> assert false);
+          raise (bad block "amount out of range");
+        Array.unsafe_set dst n (pack_work ~proc ~amount);
+        Array.unsafe_set last_amount proc amount
+      end
+      else if tag = 2 then begin
+        if b lsr 6 <> 0 then raise (bad block "bad arrive lead byte");
+        Array.unsafe_set dst n (pack_barrier_arrive ~proc)
+      end
+      else begin
+        (* Access, Lock_wait, Lock_grant: var delta, then cell code 0
+           (+1) and 1 (+0) inline, 2 an explicit delta *)
+        let dv =
+          let v = if !p < limit then get_byte map !p else 0x80 in
+          if v < 0x80 then (incr p; v)
+          else begin
+            let v = varint cur !p in
+            p := cur.c_end;
+            v
+          end
+        in
+        let var = Array.unsafe_get last_var proc + unzigzag dv in
+        if var < 0 || var >= nvars then
+          raise (bad block "var %d out of range" var);
+        let ctx = (proc * nvars) + var in
+        let ccode = b lsr 6 in
+        let d =
+          if ccode < 2 then 1 - ccode
+          else if ccode = 2 then begin
+            let v = if !p < limit then get_byte map !p else 0x80 in
+            let v =
+              if v < 0x80 then (incr p; v)
+              else begin
+                let v = varint cur !p in
+                p := cur.c_end;
+                v
+              end
+            in
+            unzigzag v
+          end
+          else raise (bad block "reserved cell code")
+        in
+        let cell = Array.unsafe_get last_cell ctx + d in
+        if cell < 0 then raise (bad block "cell out of range");
+        if tag = 0 then begin
+          if cell > Cell_event.max_wide_cell then
+            raise (bad block "cell out of range");
+          Array.unsafe_set dst n (pack_access ~wbit:(b land 8) ~proc ~var ~cell)
+        end
+        else if tag = 4 then begin
+          if cell > Cell_event.max_wide_cell then
+            raise (bad block "cell out of range");
+          Array.unsafe_set dst n (pack_lock_wait ~proc ~var ~cell)
+        end
+        else begin
+          let from1 = varint cur !p in
+          p := cur.c_end;
+          if from1 < 0 || from1 > Cell_event.max_proc + 1 then
+            raise (bad block "bad lock source");
+          if cell > Cell_event.max_cell then
+            raise (bad block "cell out of range");
+          Array.unsafe_set dst n (pack_lock_grant ~proc ~var ~from1 ~cell)
+        end;
+        Array.unsafe_set last_var proc var;
+        Array.unsafe_set last_cell ctx cell
+      end;
       prev_proc := proc
     end
   done;
-  if !pos <> limit then
-    corrupt "block %d: %d trailing payload bytes" block (limit - !pos)
+  if !p <> limit then
+    corrupt "block %d: %d trailing payload bytes" block (limit - !p)
 
 (* Parsed v2 geometry: everything but the payloads, validated. *)
 type v2_info = {

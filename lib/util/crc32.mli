@@ -16,7 +16,12 @@ val byte : int -> int -> int
 (** [byte crc b] folds the byte [b] (low 8 bits) into a running crc. *)
 
 val string_sub : int -> string -> int -> int -> int
+(** [string_sub crc s pos len] folds [len] bytes of [s] from [pos],
+    eight bytes per table step (slicing-by-8).  Raises
+    [Invalid_argument] if the range is not inside [s]. *)
+
 val bigstring_sub : int -> bigstring -> int -> int -> int
+(** {!string_sub} over a byte bigarray. *)
 
 val of_string : string -> int
 (** One-shot checksum of a whole string. *)

@@ -454,24 +454,35 @@ let test_memo_concurrent () =
 let test_memo_capture_dir () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "fstrace-capture" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Memo.clear ();
-  Memo.set_capture_dir (Some dir);
-  let w = Ws.find "mp3d" in
-  let e1 = Memo.get w ~nprocs:4 ~scale:1 in
-  Memo.clear ();
-  (* a fresh memo finds the capture on disk instead of re-interpreting *)
-  Memo.set_capture_dir (Some dir);
-  let e2 = Memo.get w ~nprocs:4 ~scale:1 in
-  let _, _, _, disk_loads = Memo.read_stats () in
-  Alcotest.(check int) "loaded from disk" 1 disk_loads;
-  Alcotest.(check bool) "same trace" true
-    (Cell_trace.equal e1.Memo.trace e2.Memo.trace);
-  (* the interp summary is reconstructed from the event stream *)
-  Alcotest.(check bool) "summary rebuilt" true
-    (e1.Memo.interp.Interp.work = e2.Memo.interp.Interp.work
-    && e1.Memo.interp.Interp.accesses = e2.Memo.interp.Interp.accesses
-    && e1.Memo.interp.Interp.barrier_episodes
-       = e2.Memo.interp.Interp.barrier_episodes);
+  (* a static program with barriers and a work-stealing one whose trace
+     also carries steal and lock events *)
+  List.iter
+    (fun (name, seed) ->
+      Memo.clear ();
+      Memo.set_capture_dir (Some dir);
+      let w = Ws.find name in
+      let e1 = Memo.get ?seed w ~nprocs:4 ~scale:1 in
+      Memo.clear ();
+      (* a fresh memo finds the capture on disk instead of re-interpreting *)
+      Memo.set_capture_dir (Some dir);
+      let e2 = Memo.get ?seed w ~nprocs:4 ~scale:1 in
+      let _, _, _, disk_loads = Memo.read_stats () in
+      Alcotest.(check int) (name ^ " loaded from disk") 1 disk_loads;
+      Alcotest.(check bool) (name ^ " same trace") true
+        (Cell_trace.equal e1.Memo.trace e2.Memo.trace);
+      (* the interp summary is reconstructed from the event stream *)
+      let i1 = e1.Memo.interp and i2 = e2.Memo.interp in
+      let sum = Array.fold_left ( + ) 0 in
+      Alcotest.(check bool) (name ^ " nonzero totals") true
+        (sum i1.Interp.work > 0 && sum i1.Interp.accesses > 0
+        && i1.Interp.barrier_episodes > 0);
+      Alcotest.(check (array int)) (name ^ " work rebuilt") i1.Interp.work
+        i2.Interp.work;
+      Alcotest.(check (array int)) (name ^ " accesses rebuilt")
+        i1.Interp.accesses i2.Interp.accesses;
+      Alcotest.(check int) (name ^ " barriers rebuilt")
+        i1.Interp.barrier_episodes i2.Interp.barrier_episodes)
+    [ ("mp3d", None); ("fib", Some 7) ];
   Memo.set_capture_dir None;
   Memo.clear ();
   Array.iter

@@ -541,6 +541,40 @@ let test_server_sched_seed () =
       Alcotest.(check bool) "distinct seed is a distinct address" false
         (member_bool "other" (get_json "other" other) "cached"))
 
+(* A configuration the layout engine cannot realize is the client's
+   fault.  fmm's hand-written plan regroups a 96-element array by P ways,
+   so at P=256 and scale 1 it does not fit: a 400 with the CLI's one-line
+   message, on the endpoint that plans every version and on one that
+   plans the chosen layout alone, and the daemon keeps serving. *)
+let test_server_unrealizable_plan () =
+  let cache_dir = fresh_dir "plan" in
+  let cfg =
+    { Srv.default_config with workers = 1; queue_capacity = 4; jobs = 1; cache_dir }
+  in
+  let t = Srv.start cfg in
+  let port = Srv.port t in
+  Fun.protect
+    ~finally:(fun () -> Srv.stop t)
+    (fun () ->
+      let q = {|{"workload":"fmm","nprocs":256,"scale":1,"layout":"programmer"}|} in
+      List.iter
+        (fun endpoint ->
+          let s, _, b = Http.request ~port ~body:q endpoint in
+          Alcotest.(check int) (endpoint ^ " status") 400 s;
+          Tutil.check_contains (endpoint ^ " names workload, layout and P") b
+            "fmm, programmer plan at P=256: ")
+        [ "/analyze"; "/blame" ];
+      (* a block size the layout engine cannot realize is refused up
+         front, not left to fail inside the replay *)
+      let s, _, b =
+        Http.request ~port ~body:{|{"workload":"water","nprocs":2,"block":100}|}
+          "/analyze"
+      in
+      Alcotest.(check int) "non-power-of-two block" 400 s;
+      Tutil.check_contains "names the block rule" b "power of two";
+      let s, _, _ = Http.request ~port "/healthz" in
+      Alcotest.(check int) "still serving" 200 s)
+
 let test_server_backpressure () =
   let cache_dir = fresh_dir "bp" in
   let cfg =
@@ -606,5 +640,6 @@ let suite =
     Alcotest.test_case "memo coalescing (domains)" `Quick test_memo_coalescing_domains;
     Alcotest.test_case "daemon end to end" `Quick test_server_end_to_end;
     Alcotest.test_case "daemon sched seed" `Quick test_server_sched_seed;
+    Alcotest.test_case "daemon unrealizable plan" `Quick test_server_unrealizable_plan;
     Alcotest.test_case "daemon backpressure" `Quick test_server_backpressure;
     Alcotest.test_case "daemon quitquitquit" `Quick test_server_quitquitquit ]

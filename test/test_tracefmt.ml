@@ -1,6 +1,7 @@
 (* Trace format v2: round-trips through both on-disk formats, streamed
    replay identity against the in-memory engine, and corruption
-   detection (truncation anywhere, CRC damage naming the bad block). *)
+   detection (truncation anywhere, CRC damage naming the bad block,
+   payload damage the CRC was recomputed over). *)
 
 module Ct = Fs_trace.Cell_trace
 module R = Fs_replay.Replay
@@ -189,6 +190,98 @@ let test_index_crc () =
     (expect_corrupt "damaged index" (fun () -> Ct.of_file_stream path))
 
 (* ------------------------------------------------------------------ *)
+(* Hostile payloads: random bytes of one block overwritten and that
+   block's footer CRC recomputed, so the checksum no longer catches the
+   damage.  The decoder alone must then either refuse the block by name
+   or return events that keep every invariant of the packed form; any
+   other outcome (another exception, a crash, an out-of-range field) is
+   a memory-safety hole in its unchecked loads and stores.             *)
+
+let hostile_block_events = 256
+
+(* the v2 image of each workload, written once *)
+let hostile_images : (string, string) Hashtbl.t = Hashtbl.create 16
+
+let hostile_image name =
+  match Hashtbl.find_opt hostile_images name with
+  | Some s -> s
+  | None ->
+    let s = v2_bytes ~block_events:hostile_block_events name in
+    Hashtbl.add hostile_images name s;
+    s
+
+let event_ok ~nprocs ~nvars packed =
+  let e = Fs_trace.Cell_event.unpack packed in
+  (match e with
+   | Access { proc; var; _ } | Lock_wait { proc; var; _ } | Lock_grant { proc; var; _ } ->
+     proc < nprocs && var < nvars
+   | Work { proc; _ } | Barrier_arrive { proc } -> proc < nprocs
+   | Barrier_release -> true
+   | Steal { thief; victim; _ } -> thief < nprocs && victim < nprocs)
+  && Fs_trace.Cell_event.pack e = packed
+
+let prop_hostile_payload =
+  QCheck.Test.make
+    ~name:
+      "v2 payload damage under a recomputed CRC: Corrupt naming the block, or \
+       in-range events"
+    ~count:300
+    QCheck.(
+      quad
+        (int_range 0 (List.length names - 1))
+        (int_range 1 4) bool (int_range 0 1_000_000))
+    (fun (wi, nbytes, flip, seed) ->
+      let name = List.nth names wi in
+      let _, _, _, r = trace_of name in
+      let trace = r.Sim.trace in
+      let whole = hostile_image name in
+      let len = String.length whole in
+      let index_off = u64_at whole (len - 24) in
+      let nblocks = u64_at whole index_off in
+      let rng = Fs_util.Rng.create seed in
+      let k = Fs_util.Rng.int rng nblocks in
+      let block_off k = u64_at whole (index_off + 8 + (16 * k)) in
+      let off = block_off k in
+      let next = if k + 1 < nblocks then block_off (k + 1) else index_off in
+      let plen = next - off - 24 in
+      let damaged = Bytes.of_string whole in
+      (* a flipped low bit keeps a varint's length, so the damaged block
+         often still decodes to the end: the case the range checks, not
+         the framing, must catch *)
+      for _ = 1 to nbytes do
+        let at = off + Fs_util.Rng.int rng plen in
+        let old = Char.code (Bytes.get damaged at) in
+        Bytes.set damaged at
+          (Char.chr
+             (if flip then old lxor (1 lsl Fs_util.Rng.int rng 7)
+              else Fs_util.Rng.int rng 256))
+      done;
+      Bytes.set_int64_le damaged (off + plen + 16)
+        (Int64.of_int (Fs_util.Crc32.of_string (Bytes.sub_string damaged off plen)));
+      with_tmp "hostile" @@ fun path ->
+      write_all path (Bytes.to_string damaged);
+      match Ct.read_file path with
+      | exception Ct.Corrupt msg ->
+        let prefix = Printf.sprintf "block %d: " k in
+        if not (String.starts_with ~prefix msg) then
+          QCheck.Test.fail_reportf "%s: damage in block %d reported as %S" name k
+            msg;
+        true
+      | back ->
+        let nprocs = Ct.nprocs back and nvars = Array.length (Ct.vars back) in
+        if Ct.length back <> Ct.length trace then
+          QCheck.Test.fail_reportf "%s: %d events decoded, %d recorded" name
+            (Ct.length back) (Ct.length trace);
+        Ct.iter_packed
+          (fun packed ->
+            if not (event_ok ~nprocs ~nvars packed) then
+              QCheck.Test.fail_reportf
+                "%s: damaged block %d decoded to an invalid event %#x" name k
+                packed)
+          back;
+        true)
+
+(* ------------------------------------------------------------------ *)
 (* Conversion: v2 -> v1 -> v2 through the streaming Writer preserves
    the event stream exactly (the CLI's `trace convert` path).          *)
 
@@ -229,4 +322,5 @@ let suite =
     Alcotest.test_case "v2 index damage refused at open" `Quick test_index_crc;
     Alcotest.test_case "convert round-trip v2 -> v1 -> v2" `Quick
       test_convert_roundtrip;
-    QCheck_alcotest.to_alcotest prop_roundtrip ]
+    QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_hostile_payload ]

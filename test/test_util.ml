@@ -1,5 +1,5 @@
 (* Unit tests for lib/util: the deterministic PRNG, alignment arithmetic,
-   table rendering and the small statistics helpers. *)
+   table rendering, the small statistics helpers, SHA-256 and CRC-32. *)
 
 module Rng = Fs_util.Rng
 module Align = Fs_util.Align
@@ -175,9 +175,51 @@ let test_sha256_streaming () =
         expect (Fs_util.Sha256.hex ctx))
     [ 1; 3; 55; 64; 65; 997 ]
 
+module Crc32 = Fs_util.Crc32
+
+let bigstring_of_string s =
+  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (String.length s) in
+  String.iteri (Bigarray.Array1.set b) s;
+  b
+
+let test_crc32_known_answer () =
+  (* the standard check value of CRC-32/ISO-HDLC *)
+  Alcotest.(check int) "of_string" 0xCBF43926 (Crc32.of_string "123456789");
+  Alcotest.(check int) "of_bigstring_sub" 0xCBF43926
+    (Crc32.of_bigstring_sub (bigstring_of_string "123456789") 0 9);
+  Alcotest.(check int) "unaligned window" 0xCBF43926
+    (Crc32.of_bigstring_sub (bigstring_of_string "xyz123456789!") 3 9);
+  Alcotest.(check int) "empty" 0 (Crc32.of_string "");
+  Alcotest.check_raises "out of bounds"
+    (Invalid_argument "Crc32.string_sub: range out of bounds") (fun () ->
+      ignore (Crc32.string_sub Crc32.start "abc" 2 2))
+
+(* the sliced kernels against the one-byte definition, from every start
+   offset mod 16 and at every length up to 300: short tails, tails of
+   each size after whole 8-byte steps, and unaligned loads all covered *)
+let test_crc32_sliced_prop =
+  QCheck.Test.make ~name:"sliced crc32 = byte-wise fold (string and bigstring)"
+    ~count:400
+    QCheck.(triple (int_range 0 15) (int_range 0 300) (int_range 0 1_000_000))
+    (fun (pos, len, seed) ->
+      let r = Fs_util.Rng.create seed in
+      let s = String.init (pos + len + 3) (fun _ -> Char.chr (Fs_util.Rng.int r 256)) in
+      let reference = ref Crc32.start in
+      for i = pos to pos + len - 1 do
+        reference := Crc32.byte !reference (Char.code s.[i])
+      done;
+      let of_string = Crc32.string_sub Crc32.start s pos len in
+      let of_bigstring = Crc32.bigstring_sub Crc32.start (bigstring_of_string s) pos len in
+      if of_string <> !reference then
+        QCheck.Test.fail_reportf "string kernel %08x, byte fold %08x (pos %d, len %d)"
+          of_string !reference pos len;
+      of_bigstring = of_string)
+
 let suite =
   [ Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
     Alcotest.test_case "sha256 streaming" `Quick test_sha256_streaming;
+    Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
+    QCheck_alcotest.to_alcotest test_crc32_sliced_prop;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng seeds differ" `Quick test_rng_seed_changes_stream;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
