@@ -46,6 +46,21 @@ let time_it f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* Best of five rounds of [reps] calls each, [f1] and [f2] alternating so
+   both meet the same host phase: their ratio is a same-run figure the
+   gate can floor. *)
+let best_of_pair ~reps f1 f2 =
+  let round f =
+    Gc.full_major ();
+    snd (time_it (fun () -> for _ = 1 to reps do f () done))
+  in
+  let b1 = ref infinity and b2 = ref infinity in
+  for _ = 1 to 5 do
+    b1 := Float.min !b1 (round f1);
+    b2 := Float.min !b2 (round f2)
+  done;
+  (!b1, !b2)
+
 let tmp_trace tag =
   Filename.temp_file (Printf.sprintf "fs-bench-%s-" tag) ".fstrace"
 
@@ -362,20 +377,7 @@ let tracefmt_decode () =
   let p1 = mk Ct.V1 and p2 = mk Ct.V2 in
   let s1 = Ct.of_file_stream p1 and s2 = Ct.of_file_stream p2 in
   let reps = 5 in
-  (* v1 and v2 rounds alternate, so both meet the same host phase and
-     their ratio is a same-run figure the gate can floor *)
-  let best_of_pair f1 f2 =
-    let round f =
-      Gc.full_major ();
-      snd (time_it (fun () -> for _ = 1 to reps do f () done))
-    in
-    let b1 = ref infinity and b2 = ref infinity in
-    for _ = 1 to 5 do
-      b1 := Float.min !b1 (round f1);
-      b2 := Float.min !b2 (round f2)
-    done;
-    (!b1, !b2)
-  in
+  let best_of_pair = best_of_pair ~reps in
   (* raw decode: every block through the codec into one buffer made
      before the clock starts (v1's chunk is 1M events, and a fresh 8 MB
      buffer per pass timed the allocator instead of the codec), no
@@ -771,12 +773,34 @@ let phases_bench () =
     "tracking overhead (pverify replay x%d): plain %.3fs, epoch+line \
      tracking %.3fs (%.2fx)\n"
     reps plain tracked ratio;
+  (* what a Hotlines diagnosis runs: the fused loop into a cache tracking
+     blocks and lines, against the same loop into an untracked cache *)
+  let fused_into ~track () =
+    let cache =
+      C.create ~track_blocks:track ~track_lines:track
+        ~max_addr:(Layout.size layout) (C.default_config ~nprocs ~block:128)
+    in
+    Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache
+  in
+  let fused, fused_tracked =
+    best_of_pair ~reps (fused_into ~track:false) (fused_into ~track:true)
+  in
+  let fused_over_tracked =
+    if fused_tracked > 0. then fused /. fused_tracked else 0.
+  in
+  Printf.printf
+    "fused replay (x%d, best of 5): untracked %.4fs, blocks+lines tracked \
+     %.4fs (untracked/tracked %.3f)\n"
+    reps fused fused_tracked fused_over_tracked;
   record "tracking_overhead" ~seconds:(plain +. tracked)
     (Json.Obj
        [ ("reps", Json.Int reps);
          ("plain_seconds", Json.float plain);
          ("tracked_seconds", Json.float tracked);
-         ("ratio", Json.float ratio) ])
+         ("ratio", Json.float ratio);
+         ("fused_seconds", Json.float fused);
+         ("fused_tracked_seconds", Json.float fused_tracked);
+         ("fused_over_tracked", Json.float fused_over_tracked) ])
 
 (* ------------------------------------------------------------------ *)
 (* Serving: daemon latency over loopback, cold store vs warm           *)
@@ -866,8 +890,16 @@ let nondeterministic =
    default (dev) build on a 2-vCPU x86-64 container, a byte-at-a-time
    CRC with a varint call per field measured 0.046-0.051; the
    slicing-by-8 CRC with one-byte varints decoded inline measured
-   0.09-0.11, inside a full `check` run as well as alone. *)
-let ratio_floors = [ ("tracefmt-decode", "v2_over_v1_decode", 0.07) ]
+   0.09-0.11, inside a full `check` run as well as alone.
+
+   fused_over_tracked is an untracked fused replay's time over the same
+   replay into a cache with ~track_blocks and ~track_lines, which is
+   what a Hotlines diagnosis runs (pverify, 128 B blocks).  In the same
+   build and container, hashtable tracking tables measured 0.42-0.46;
+   slot-indexed ones measure 0.82-0.90. *)
+let ratio_floors =
+  [ ("tracefmt-decode", "v2_over_v1_decode", 0.07);
+    ("tracking_overhead", "fused_over_tracked", 0.6) ]
 
 let baseline_path () =
   if Sys.file_exists "bench/BASELINE.json" then "bench/BASELINE.json"

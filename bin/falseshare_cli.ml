@@ -177,9 +177,11 @@ let with_telemetry ~cmd ~metrics_out ~spans_out f =
   at_exit finish;
   match Fs_obs.Span.with_ recorder cmd f with
   | v -> finish (); v
-  | exception Fs_layout.Plan.Plan_error msg ->
-    (* a plan that does not fit the program is the user's configuration,
-       not an internal error *)
+  | exception
+      (Fs_layout.Plan.Plan_error msg | Fs_interp.Interp.Runtime_error msg) ->
+    (* a plan that does not fit the program, or a program that fails at
+       run time (a zero divisor, an index out of bounds), is the user's
+       configuration, not an internal error *)
     finish ();
     Printf.eprintf "falseshare: %s: %s\n" cmd msg;
     exit 1

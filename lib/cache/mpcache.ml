@@ -83,24 +83,6 @@ type pair = {
   write_misses : int;
 }
 
-(* Mutable lifetime accumulator for one line; [linfo] is the working
-   state, [line] below the exported snapshot. *)
-type linfo = {
-  mutable lreads : int;
-  mutable lwrites : int;
-  mutable reader_mask : int;
-  mutable writer_mask : int;
-  mutable last_w : int;        (* most recent writer, or -1 *)
-  mutable prev_w : int;        (* the writer before that, or -1 *)
-  mutable lmigrations : int;
-  mutable lpingpong : int;
-  mutable run : int;           (* current alternating-writer run, in writes *)
-  mutable lmax_run : int;
-  mutable ichain : int;        (* current invalidating-write streak *)
-  mutable lmax_ichain : int;
-  lword_writers : int array;
-}
-
 type line = {
   line_block : int;
   line_reads : int;
@@ -150,9 +132,17 @@ let lost_evicted = -1
 
    Owners and writers are stored as [proc + 1] with 0 meaning none, so
    every growable array zero-fills and growth is a single blit.
-   Nothing on the access path allocates; the optional tracking tables
-   (per-block counts, blame pairs, line lifetimes) stay hash-based,
-   since they are opt-in and off the untracked hot path. *)
+
+   The optional per-block counts and line lifetimes are slot-indexed:
+   a dense [slot] array (one int per block, 0 until the block is first
+   touched, else its slot + 1) hands out slots in first-touch order,
+   and compact per-slot tables, doubled as slots run out, hold
+   [counts_stride] counters in {!counts} field order, [line_stride]
+   lifetime ints (writers as [proc + 1]) and one writer mask per word.
+   Only touched blocks pay for the tables; the slot array costs one
+   int per block.  Nothing on the access path allocates, with or
+   without these two, except the blame pair flows, which stay
+   hash-based (a key per invalidation) since only Blame reads them. *)
 type t = {
   cfg : config;
   nsets : int;
@@ -175,11 +165,35 @@ type t = {
   slots : int array;          (* resident block id, or -1 *)
   totals : counts;
   per_proc : counts array;
-  per_block_tbl : (int, counts) Hashtbl.t option;
+  track_blocks : bool;
+  track_lines : bool;
+  tracking : bool;          (* track_blocks || track_lines *)
+  mutable slot : int array;   (* per block: slot + 1, or 0; [||] untracked *)
+  mutable nslots : int;
+  mutable scap : int;         (* slots the compact tables can hold *)
+  mutable bcounts : int array;  (* per slot, [counts_stride] counters *)
+  mutable lstate : int array;   (* per slot, [line_stride] lifetime ints *)
+  mutable lwords : int array;   (* per (slot, word): writer mask *)
   pair_tbl : (int * int * int, flow) Hashtbl.t option;  (* block, src, victim *)
-  line_tbl : (int, linfo) Hashtbl.t option;
   mutable time : int;
 }
+
+let counts_stride = 8
+
+(* Offsets into a slot's [lstate] record. *)
+let line_stride = 12
+let l_reads = 0
+let l_writes = 1
+let l_reader_mask = 2
+let l_writer_mask = 3
+let l_last_w = 4       (* most recent writer + 1, or 0 *)
+let l_prev_w = 5       (* the writer before that + 1, or 0 *)
+let l_migrations = 6
+let l_pingpong = 7
+let l_run = 8          (* current alternating-writer run, in writes *)
+let l_max_run = 9
+let l_ichain = 10      (* current invalidating-write streak *)
+let l_max_ichain = 11
 
 let create ?(track_blocks = false) ?(track_pairs = false)
     ?(track_lines = false) ?max_addr (cfg : config) =
@@ -198,6 +212,9 @@ let create ?(track_blocks = false) ?(track_pairs = false)
     | Some a when a > 0 -> ((a - 1) / cfg.block) + 1
     | _ -> 1024
   in
+  let tracking = track_blocks || track_lines in
+  let scap = 64 in
+  let table on stride = if on then Array.make (scap * stride) 0 else [||] in
   {
     cfg;
     nsets;
@@ -214,9 +231,16 @@ let create ?(track_blocks = false) ?(track_pairs = false)
     slots = Array.make (cfg.nprocs * nsets * cfg.assoc) (-1);
     totals = zero_counts ();
     per_proc = Array.init cfg.nprocs (fun _ -> zero_counts ());
-    per_block_tbl = (if track_blocks then Some (Hashtbl.create 256) else None);
+    track_blocks;
+    track_lines;
+    tracking;
+    slot = (if tracking then Array.make cap 0 else [||]);
+    nslots = 0;
+    scap;
+    bcounts = table track_blocks counts_stride;
+    lstate = table track_lines line_stride;
+    lwords = table track_lines words;
     pair_tbl = (if track_pairs then Some (Hashtbl.create 256) else None);
-    line_tbl = (if track_lines then Some (Hashtbl.create 256) else None);
     time = 0;
   }
 
@@ -239,66 +263,11 @@ let grow t b =
   t.ent <- extend (t.nprocs * 4) t.ent;
   t.blk <- extend 3 t.blk;
   t.wrd <- extend (t.words * 2) t.wrd;
+  if t.tracking then t.slot <- extend 1 t.slot;
   t.cap <- cap
 
 let set_index t b =
   if t.set_mask <> 0 then b land t.set_mask else b mod t.nsets
-
-let block_counts t b =
-  match t.per_block_tbl with
-  | None -> None
-  | Some tbl -> (
-    match Hashtbl.find_opt tbl b with
-    | Some c -> Some c
-    | None ->
-      let c = zero_counts () in
-      Hashtbl.add tbl b c;
-      Some c)
-
-let linfo_of tbl b words =
-  match Hashtbl.find_opt tbl b with
-  | Some l -> l
-  | None ->
-    let l =
-      { lreads = 0; lwrites = 0; reader_mask = 0; writer_mask = 0;
-        last_w = -1; prev_w = -1; lmigrations = 0; lpingpong = 0;
-        run = 0; lmax_run = 0; ichain = 0; lmax_ichain = 0;
-        lword_writers = Array.make words 0 }
-    in
-    Hashtbl.add tbl b l;
-    l
-
-(* Lifetime bookkeeping for one reference, after the protocol has acted
-   on it ([invalidated] remote copies were destroyed by this write). *)
-let note_line t ~proc ~write ~word ~invalidated b =
-  match t.line_tbl with
-  | None -> ()
-  | Some tbl ->
-    let l = linfo_of tbl b t.words in
-    if write then begin
-      l.lwrites <- l.lwrites + 1;
-      l.writer_mask <- l.writer_mask lor (1 lsl proc);
-      l.lword_writers.(word) <- l.lword_writers.(word) lor (1 lsl proc);
-      if l.last_w >= 0 && l.last_w <> proc then begin
-        l.lmigrations <- l.lmigrations + 1;
-        if l.prev_w = proc then l.lpingpong <- l.lpingpong + 1;
-        (* a run starts at 2 writes: the previous one and this one *)
-        l.run <- (if l.run = 0 then 2 else l.run + 1);
-        if l.run > l.lmax_run then l.lmax_run <- l.run
-      end
-      else l.run <- 0;
-      l.prev_w <- l.last_w;
-      l.last_w <- proc;
-      if invalidated > 0 then begin
-        l.ichain <- l.ichain + 1;
-        if l.ichain > l.lmax_ichain then l.lmax_ichain <- l.ichain
-      end
-      else l.ichain <- 0
-    end
-    else begin
-      l.lreads <- l.lreads + 1;
-      l.reader_mask <- l.reader_mask lor (1 lsl proc)
-    end
 
 (* Remove [victim]'s copy because a write by [src] invalidated it.
    [cause] distinguishes upgrades (write hits on a Shared copy) from
@@ -315,18 +284,10 @@ let invalidate t b ~src ~victim ~cause =
   if Array.unsafe_get t.blk (b3 + 1) = victim + 1 then
     Array.unsafe_set t.blk (b3 + 1) 0;
   Array.unsafe_set t.slots (Array.unsafe_get t.ent (e + 3)) (-1);
-  (* the caller batches [totals.invalidations] over all victims *)
+  (* the caller batches [totals.invalidations] over all victims, and
+     the per-block count is taken from the packed outcome *)
   let c = t.per_proc.(victim) in
   c.invalidations <- c.invalidations + 1;
-  (match t.per_block_tbl with
-   | None -> ()
-   | Some tbl -> (
-     match Hashtbl.find_opt tbl b with
-     | Some c -> c.invalidations <- c.invalidations + 1
-     | None ->
-       let c = zero_counts () in
-       c.invalidations <- 1;
-       Hashtbl.add tbl b c));
   match t.pair_tbl with
   | None -> ()
   | Some tbl ->
@@ -433,6 +394,93 @@ let kind_code = function
   | True_sharing -> 4
   | False_sharing -> 5
 
+(* Hand block [b] the next slot, doubling the compact tables when they
+   are full. *)
+let new_slot t b =
+  if t.nslots = t.scap then begin
+    let scap = t.scap * 2 in
+    let extend stride old =
+      if Array.length old = 0 then old
+      else begin
+        let bigger = Array.make (scap * stride) 0 in
+        Array.blit old 0 bigger 0 (t.scap * stride);
+        bigger
+      end
+    in
+    t.bcounts <- extend counts_stride t.bcounts;
+    t.lstate <- extend line_stride t.lstate;
+    t.lwords <- extend t.words t.lwords;
+    t.scap <- scap
+  end;
+  let s = t.nslots in
+  t.nslots <- s + 1;
+  Array.unsafe_set t.slot b (s + 1);
+  s
+
+(* The tracking step for one reference to block [b], after the protocol
+   has acted on it and packed its outcome into [raw].  Every copy a
+   write destroys is a copy of [b], so [raw lsr 12] is also the block's
+   invalidation count.  Indices are in range: [b < cap] (the caller
+   grew the arrays), slots are below [scap], [proc < nprocs]. *)
+let incr_at a i = Array.unsafe_set a i (Array.unsafe_get a i + 1)
+
+let track t ~proc ~write ~addr b raw =
+  let s =
+    let s1 = Array.unsafe_get t.slot b in
+    if s1 > 0 then s1 - 1 else new_slot t b
+  in
+  let invalidated = raw lsr 12 in
+  if t.track_blocks then begin
+    let a = t.bcounts in
+    let c = s * counts_stride in
+    (* counters in field order: reads, writes, then the outcome's code
+       (2-5) is the miss kind's own index, upgrades last *)
+    incr_at a (if write then c + 1 else c);
+    let code = raw land 7 in
+    if code <> 0 then incr_at a (if code = 1 then c + 7 else c + code);
+    if invalidated > 0 then
+      Array.unsafe_set a (c + 6) (Array.unsafe_get a (c + 6) + invalidated)
+  end;
+  if t.track_lines then begin
+    let a = t.lstate in
+    let l = s * line_stride in
+    let bit = 1 lsl proc in
+    if write then begin
+      incr_at a (l + l_writes);
+      Array.unsafe_set a (l + l_writer_mask)
+        (Array.unsafe_get a (l + l_writer_mask) lor bit);
+      let w = (s * t.words) + ((addr land t.word_mask) lsr 2) in
+      Array.unsafe_set t.lwords w (Array.unsafe_get t.lwords w lor bit);
+      let last = Array.unsafe_get a (l + l_last_w) in
+      if last <> 0 && last <> proc + 1 then begin
+        incr_at a (l + l_migrations);
+        if Array.unsafe_get a (l + l_prev_w) = proc + 1 then
+          incr_at a (l + l_pingpong);
+        (* a run starts at 2 writes: the previous one and this one *)
+        let run = Array.unsafe_get a (l + l_run) in
+        let run = if run = 0 then 2 else run + 1 in
+        Array.unsafe_set a (l + l_run) run;
+        if run > Array.unsafe_get a (l + l_max_run) then
+          Array.unsafe_set a (l + l_max_run) run
+      end
+      else Array.unsafe_set a (l + l_run) 0;
+      Array.unsafe_set a (l + l_prev_w) last;
+      Array.unsafe_set a (l + l_last_w) (proc + 1);
+      if invalidated > 0 then begin
+        incr_at a (l + l_ichain);
+        let chain = Array.unsafe_get a (l + l_ichain) in
+        if chain > Array.unsafe_get a (l + l_max_ichain) then
+          Array.unsafe_set a (l + l_max_ichain) chain
+      end
+      else Array.unsafe_set a (l + l_ichain) 0
+    end
+    else begin
+      incr_at a (l + l_reads);
+      Array.unsafe_set a (l + l_reader_mask)
+        (Array.unsafe_get a (l + l_reader_mask) lor bit)
+    end
+  end
+
 let access_raw t ~proc ~write ~addr =
   (* one range check up front licenses the unsafe array accesses below:
      every index is then [b * stride + k] with [b < cap] (after [grow]),
@@ -443,20 +491,14 @@ let access_raw t ~proc ~write ~addr =
   let b = addr lsr t.block_shift in
   if b >= t.cap then grow t b;
   let e = ((b * t.nprocs) + proc) * 4 in
-  (* short-circuit keeps the untracked hot path free of the call *)
-  let bc =
-    match t.per_block_tbl with None -> None | Some _ -> block_counts t b
-  in
   let pp = Array.unsafe_get t.per_proc proc in
   (if write then begin
      t.totals.writes <- t.totals.writes + 1;
-     pp.writes <- pp.writes + 1;
-     match bc with Some c -> c.writes <- c.writes + 1 | None -> ()
+     pp.writes <- pp.writes + 1
    end
    else begin
      t.totals.reads <- t.totals.reads + 1;
-     pp.reads <- pp.reads + 1;
-     match bc with Some c -> c.reads <- c.reads + 1 | None -> ()
+     pp.reads <- pp.reads + 1
    end);
   let raw =
     if write then begin
@@ -481,7 +523,6 @@ let access_raw t ~proc ~write ~addr =
         note_write ();
         t.totals.upgrades <- t.totals.upgrades + 1;
         pp.upgrades <- pp.upgrades + 1;
-        (match bc with Some c -> c.upgrades <- c.upgrades + 1 | None -> ());
         1 lor (invalidated lsl 12)
       | _ ->
         let kind = classify_miss t ~proc ~w2 e in
@@ -496,7 +537,6 @@ let access_raw t ~proc ~write ~addr =
         note_write ();
         bump_kind t.totals kind;
         bump_kind pp kind;
-        (match bc with Some c -> bump_kind c kind | None -> ());
         kind_code kind lor ((provider + 1) lsl 3) lor (invalidated lsl 12)
     end
     else begin
@@ -522,16 +562,10 @@ let access_raw t ~proc ~write ~addr =
         Array.unsafe_set t.blk b3 (Array.unsafe_get t.blk b3 lor (1 lsl proc));
         bump_kind t.totals kind;
         bump_kind pp kind;
-        (match bc with Some c -> bump_kind c kind | None -> ());
         kind_code kind lor ((provider + 1) lsl 3)
     end
   in
-  (match t.line_tbl with
-   | None -> ()
-   | Some _ ->
-     note_line t ~proc ~write
-       ~word:((addr land t.word_mask) lsr 2)
-       ~invalidated:(raw lsr 12) b);
+  if t.tracking then track t ~proc ~write ~addr b raw;
   raw
 
 let touch t ~proc ~write ~addr = ignore (access_raw t ~proc ~write ~addr : int)
@@ -576,42 +610,51 @@ let invalidation_pairs t =
     |> List.sort (fun a b ->
            compare (a.block, a.src, a.victim) (b.block, b.src, b.victim))
 
+(* Touched blocks in ascending order, each with its slot. *)
+let fold_slots t f =
+  let acc = ref [] in
+  for b = Array.length t.slot - 1 downto 0 do
+    let s1 = t.slot.(b) in
+    if s1 > 0 then acc := f b (s1 - 1) :: !acc
+  done;
+  !acc
+
 let per_block t =
-  match t.per_block_tbl with
-  | None -> tracking_off "per_block" "track_blocks"
-  | Some tbl ->
-    Hashtbl.fold (fun b c acc -> (b, c) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  if not t.track_blocks then tracking_off "per_block" "track_blocks";
+  let a = t.bcounts in
+  fold_slots t (fun b s ->
+      let c = s * counts_stride in
+      ( b,
+        { reads = a.(c); writes = a.(c + 1); cold = a.(c + 2);
+          repl = a.(c + 3); true_sh = a.(c + 4); false_sh = a.(c + 5);
+          invalidations = a.(c + 6); upgrades = a.(c + 7) } ))
 
 let lines t =
-  match t.line_tbl with
-  | None -> tracking_off "lines" "track_lines"
-  | Some tbl ->
-    Hashtbl.fold
-      (fun b (l : linfo) acc ->
-        let written = ref 0 and shared = ref 0 in
-        Array.iter
-          (fun m ->
-            if m <> 0 then begin
-              incr written;
-              if m land (m - 1) <> 0 then incr shared
-            end)
-          l.lword_writers;
-        { line_block = b;
-          line_reads = l.lreads;
-          line_writes = l.lwrites;
-          writers = popcount l.writer_mask;
-          readers = popcount l.reader_mask;
-          migrations = l.lmigrations;
-          pingpong = l.lpingpong;
-          max_run = l.lmax_run;
-          max_inval_chain = l.lmax_ichain;
-          written_words = !written;
-          shared_words = !shared;
-          word_writers = Array.copy l.lword_writers }
-        :: acc)
-      tbl []
-    |> List.sort (fun a b -> compare a.line_block b.line_block)
+  if not t.track_lines then tracking_off "lines" "track_lines";
+  let a = t.lstate in
+  fold_slots t (fun b s ->
+      let l = s * line_stride in
+      let word_writers = Array.sub t.lwords (s * t.words) t.words in
+      let written = ref 0 and shared = ref 0 in
+      Array.iter
+        (fun m ->
+          if m <> 0 then begin
+            incr written;
+            if m land (m - 1) <> 0 then incr shared
+          end)
+        word_writers;
+      { line_block = b;
+        line_reads = a.(l + l_reads);
+        line_writes = a.(l + l_writes);
+        writers = popcount a.(l + l_writer_mask);
+        readers = popcount a.(l + l_reader_mask);
+        migrations = a.(l + l_migrations);
+        pingpong = a.(l + l_pingpong);
+        max_run = a.(l + l_max_run);
+        max_inval_chain = a.(l + l_max_ichain);
+        written_words = !written;
+        shared_words = !shared;
+        word_writers })
 
 let state_of t ~proc ~addr =
   let b = addr lsr t.block_shift in

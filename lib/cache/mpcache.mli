@@ -138,8 +138,15 @@ val create :
     address arena.  [max_addr] presizes the arrays for an arena of that
     many bytes (pass {!Fs_layout.Layout.size} of the replayed layout);
     without it the arrays start small and grow by doubling as higher
-    addresses appear.  Either way the per-reference path is
-    allocation-free unless a tracking flag is on. *)
+    addresses appear.
+
+    [~track_blocks] and [~track_lines] add one int per block of the
+    arena plus compact per-block tables for the blocks actually touched
+    (8 counters, 12 lifetime ints and one writer mask per word), filled
+    in one step after the protocol; the per-reference path stays
+    allocation-free with them on, at close to untracked cost.
+    [~track_pairs] keeps a hashtable keyed by (block, writer, victim)
+    and allocates on every invalidation. *)
 
 val config : t -> config
 
@@ -149,7 +156,7 @@ val access : t -> proc:int -> write:bool -> addr:int -> outcome
 val touch : t -> proc:int -> write:bool -> addr:int -> unit
 (** Exactly {!access} minus the boxed [outcome] — the entry point of the
     fused replay loop, which needs the counters but not the per-reference
-    result.  Allocation-free when no tracking flag is on. *)
+    result.  Allocation-free unless [~track_pairs] is on. *)
 
 val sink : t -> Fs_trace.Sink.t
 (** Feed the simulator from an interpreter run, ignoring outcomes. *)
@@ -163,8 +170,10 @@ val proc_counts : t -> counts array
     processor lost to remote writes. *)
 
 val per_block : t -> (int * counts) list
-(** Per-block counters, sorted by block number.  [invalidations] are
-    attributed to the block whose copies were destroyed.
+(** Per-block counters of every touched block, sorted by block number.
+    [invalidations] are attributed to the block whose copies were
+    destroyed.  With [~track_lines] as well, {!lines} lists the same
+    blocks in the same order.
     @raise Invalid_argument unless created with [~track_blocks:true] —
     a silent [[]] used to mask forgotten tracking flags. *)
 
@@ -175,7 +184,8 @@ val invalidation_pairs : t -> pair list
     @raise Invalid_argument unless created with [~track_pairs:true]. *)
 
 val lines : t -> line list
-(** Per-line lifetime records, sorted by block number.
+(** Per-line lifetime records of every touched block, sorted by block
+    number.
     @raise Invalid_argument unless created with [~track_lines:true]. *)
 
 val state_of : t -> proc:int -> addr:int -> [ `Modified | `Shared | `Invalid ]

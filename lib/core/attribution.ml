@@ -2,55 +2,66 @@ module Mpcache = Fs_cache.Mpcache
 module Layout = Fs_layout.Layout
 module Interp = Fs_interp.Interp
 
+type owner = { var : string; cell_lo : int; cell_hi : int }
+
 type row = { var : string; counts : Mpcache.counts; blocks : int }
 
 let pointer_owner = "(indirection pointers)"
 let unmapped_owner = "(unmapped)"
 
-(* Dominant owner of each block, by cell count. *)
-let block_owner prog layout ~block =
-  let owner_cells : (int, (string, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
-  let bump blk var =
-    let tbl =
-      match Hashtbl.find_opt owner_cells blk with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 4 in
-        Hashtbl.add owner_cells blk t;
-        t
-    in
-    Hashtbl.replace tbl var
-      (1 + Option.value (Hashtbl.find_opt tbl var) ~default:0)
+(* One variable's share of one block: its cell count, and the lowest and
+   highest of its cells placed there. *)
+type tally = { mutable n : int; mutable lo : int; mutable hi : int }
+
+(* Dominant owner of each requested block, by cell count, in one pass
+   over the layout's addresses.  Globals are walked in declaration order,
+   each variable's cells in index order and then its pointer cells, and
+   every block's table is created at size 4 and receives its keys in
+   first-sighting order — so [Hashtbl.fold] visits owners in a fixed
+   order and a tie goes the same way on every run. *)
+let owners prog layout ~block blocks =
+  let nb = Array.fold_left (fun m b -> max m (b + 1)) 0 blocks in
+  let index = Array.make nb (-1) in
+  let tables = ref [] and k = ref 0 in
+  Array.iter
+    (fun b ->
+      if index.(b) < 0 then begin
+        index.(b) <- !k;
+        incr k;
+        tables := Hashtbl.create 4 :: !tables
+      end)
+    blocks;
+  let tables = Array.of_list (List.rev !tables) in
+  let bump a var cell =
+    let b = a / block in
+    if b < nb && index.(b) >= 0 then begin
+      let tbl = tables.(index.(b)) in
+      match Hashtbl.find_opt tbl var with
+      | Some t ->
+        t.n <- t.n + 1;
+        t.hi <- cell
+      | None -> Hashtbl.add tbl var { n = 1; lo = cell; hi = cell }
+    end
   in
   List.iter
     (fun (name, _) ->
       let vl = Layout.lookup layout name in
-      Array.iter (fun a -> bump (a / block) name) vl.Layout.addr;
-      Array.iter (fun a -> if a >= 0 then bump (a / block) pointer_owner) vl.Layout.extra)
+      Array.iteri (fun cell a -> bump a name cell) vl.Layout.addr;
+      Array.iter
+        (fun a -> if a >= 0 then bump a pointer_owner (-1))
+        vl.Layout.extra)
     prog.Fs_ir.Ast.globals;
-  fun blk ->
-    match Hashtbl.find_opt owner_cells blk with
-    | None -> unmapped_owner
-    | Some tbl ->
-      fst
-        (Hashtbl.fold
-           (fun var n (bv, bn) -> if n > bn then (var, n) else (bv, bn))
-           tbl (unmapped_owner, 0))
-
-let cell_range prog layout ~block var blk =
-  match List.assoc_opt var prog.Fs_ir.Ast.globals with
-  | None -> (-1, -1)
-  | Some _ ->
-    let vl = Layout.lookup layout var in
-    let lo = ref max_int and hi = ref (-1) in
-    Array.iteri
-      (fun cell a ->
-        if a / block = blk then begin
-          if cell < !lo then lo := cell;
-          if cell > !hi then hi := cell
-        end)
-      vl.Layout.addr;
-    if !hi < 0 then (-1, -1) else (!lo, !hi)
+  Array.map
+    (fun b ->
+      let best, t =
+        Hashtbl.fold
+          (fun var t ((_, bt) as acc) -> if t.n > bt.n then (var, t) else acc)
+          tables.(index.(b))
+          (unmapped_owner, { n = 0; lo = -1; hi = -1 })
+      in
+      if best = pointer_owner then { var = best; cell_lo = -1; cell_hi = -1 }
+      else { var = best; cell_lo = t.lo; cell_hi = t.hi })
+    blocks
 
 let attribute ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?sched prog plan ~nprocs
     ~block =
@@ -62,11 +73,12 @@ let attribute ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?sched prog plan ~nprocs
   let _ =
     Interp.run_to_sink ?sched prog ~nprocs ~layout ~sink:(Mpcache.sink cache)
   in
-  let dominant = block_owner prog layout ~block in
+  let per_block = Mpcache.per_block cache in
+  let owner = owners prog layout ~block (Array.of_list (List.map fst per_block)) in
   let per_var : (string, Mpcache.counts * int ref) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (blk, c) ->
-      let var = dominant blk in
+  List.iteri
+    (fun i (_, c) ->
+      let var = (owner.(i) : owner).var in
       let dst, nblocks =
         match Hashtbl.find_opt per_var var with
         | Some x -> x
@@ -77,7 +89,7 @@ let attribute ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?sched prog plan ~nprocs
       in
       incr nblocks;
       Mpcache.add_into dst c)
-    (Mpcache.per_block cache);
+    per_block;
   Hashtbl.fold
     (fun var (counts, nblocks) acc ->
       { var; counts; blocks = !nblocks } :: acc)

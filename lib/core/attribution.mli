@@ -14,22 +14,19 @@ val pointer_owner : string
 val unmapped_owner : string
 (** The pseudo-variable owning blocks no global maps to. *)
 
-val block_owner :
-  Fs_ir.Ast.program -> Fs_layout.Layout.t -> block:int -> int -> string
-(** [block_owner prog layout ~block] maps a block number to the variable
-    owning the most cells in it — the attribution rule shared with
-    {!Blame}. *)
+(** The variable owning the most cells of a block, and the lowest and
+    highest index of its cells there.  [cell_lo = cell_hi = -1] when
+    the owner is a pseudo-variable. *)
+type owner = { var : string; cell_lo : int; cell_hi : int }
 
-val cell_range :
-  Fs_ir.Ast.program ->
-  Fs_layout.Layout.t ->
-  block:int ->
-  string ->
-  int ->
-  int * int
-(** [cell_range prog layout ~block var blk] is the lowest and highest cell
-    index of [var] mapped into block [blk], or [(-1, -1)] when [var] is a
-    pseudo-variable or owns no cell there. *)
+val owners :
+  Fs_ir.Ast.program -> Fs_layout.Layout.t -> block:int -> int array ->
+  owner array
+(** [owners prog layout ~block blocks] is the owner of each of [blocks]
+    (in any order, repeats allowed), in one pass over the layout's
+    addresses — the attribution rule shared with {!Blame}, {!Hotlines}
+    and the repair loop.  Ties on cell count resolve the same way on
+    every run. *)
 
 type row = {
   var : string;

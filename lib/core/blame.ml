@@ -40,15 +40,17 @@ let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
       { Mpcache.nprocs; block; cache_bytes; assoc }
   in
   Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache;
-  let owner = Attribution.block_owner prog layout ~block in
+  let owners blocks = Attribution.owners prog layout ~block (Array.of_list blocks) in
   (* fold the per-block pair flows onto the owning variables: per variable,
      a (src, victim) -> (upgrades, write misses) accumulator *)
   let per_var : (string, (int * int, int ref * int ref) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 16
   in
-  List.iter
-    (fun (p : Mpcache.pair) ->
-      let var = owner p.block in
+  let pairs = Mpcache.invalidation_pairs cache in
+  let pair_owner = owners (List.map (fun (p : Mpcache.pair) -> p.block) pairs) in
+  List.iteri
+    (fun i (p : Mpcache.pair) ->
+      let var = pair_owner.(i).Attribution.var in
       let flows =
         match Hashtbl.find_opt per_var var with
         | Some f -> f
@@ -67,7 +69,7 @@ let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
       in
       u := !u + p.upgrades;
       m := !m + p.write_misses)
-    (Mpcache.invalidation_pairs cache);
+    pairs;
   let rows =
     Hashtbl.fold
       (fun var flows acc ->
@@ -95,7 +97,6 @@ let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
     |> List.sort (fun a b -> compare b.invalidations a.invalidations)
   in
   (* hottest blocks, with the owning variable's cell range *)
-  let cell_range = Attribution.cell_range prog layout ~block in
   let hot =
     Mpcache.per_block cache
     |> List.sort (fun (_, a) (_, b) ->
@@ -104,10 +105,14 @@ let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
              (a.Mpcache.invalidations, a.Mpcache.false_sh))
     |> List.filteri (fun i _ -> i < top)
     |> List.filter (fun (_, (c : Mpcache.counts)) -> c.invalidations > 0)
-    |> List.map (fun (blk, counts) ->
-           let var = owner blk in
-           let cell_lo, cell_hi = cell_range var blk in
-           { block = blk; var; cell_lo; cell_hi; counts })
+  in
+  let hot_owner = owners (List.map fst hot) in
+  let hot =
+    List.mapi
+      (fun i (blk, counts) ->
+        let { Attribution.var; cell_lo; cell_hi } = hot_owner.(i) in
+        { block = blk; var; cell_lo; cell_hi; counts })
+      hot
   in
   { nprocs; block; rows; hot }
 

@@ -91,19 +91,13 @@ let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
       { Mpcache.nprocs; block; cache_bytes; assoc }
   in
   Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache;
-  let owner = Attribution.block_owner prog layout ~block in
-  let cell_range = Attribution.cell_range prog layout ~block in
-  let per_block = Mpcache.per_block cache in
   let report = Fs_transform.Transform.plan prog ~nprocs in
+  (* with both flags on, [lines] and [per_block] list the same touched
+     blocks in the same ascending order *)
   let ranked =
-    Mpcache.lines cache
-    |> List.map (fun (l : Mpcache.line) ->
-           let counts =
-             match List.assoc_opt l.line_block per_block with
-             | Some c -> c
-             | None -> Mpcache.zero_counts ()
-           in
-           (l, counts))
+    List.map2
+      (fun (l : Mpcache.line) (_, counts) -> (l, counts))
+      (Mpcache.lines cache) (Mpcache.per_block cache)
     |> List.sort (fun ((a : Mpcache.line), (ca : Mpcache.counts))
                       ((b : Mpcache.line), (cb : Mpcache.counts)) ->
            compare
@@ -111,15 +105,20 @@ let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
              (ca.false_sh, ca.invalidations, a.migrations, b.line_block))
   in
   let nlines = List.length ranked in
+  let top_lines = List.filteri (fun i _ -> i < top) ranked in
+  let owners =
+    Attribution.owners prog layout ~block
+      (Array.of_list
+         (List.map (fun ((l : Mpcache.line), _) -> l.line_block) top_lines))
+  in
   let hot =
-    ranked
-    |> List.filteri (fun i _ -> i < top)
-    |> List.map (fun ((l : Mpcache.line), counts) ->
-           let var = owner l.line_block in
-           let cell_lo, cell_hi = cell_range var l.line_block in
-           let verdict, fix = verdict_and_fix report var l counts in
-           { line = l; counts; owner = var; cell_lo; cell_hi;
-             score = Mpcache.pingpong_score l; verdict; fix })
+    List.mapi
+      (fun i ((l : Mpcache.line), counts) ->
+        let { Attribution.var; cell_lo; cell_hi } = owners.(i) in
+        let verdict, fix = verdict_and_fix report var l counts in
+        { line = l; counts; owner = var; cell_lo; cell_hi;
+          score = Mpcache.pingpong_score l; verdict; fix })
+      top_lines
   in
   { nprocs; block;
     total = Mpcache.copy_counts (Mpcache.counts cache);

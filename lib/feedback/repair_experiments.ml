@@ -213,11 +213,14 @@ let steal_count trace =
 let sched_fs ~recorded prog plan ~nprocs ~block =
   let run = Sim.cache_sim ~track_blocks:true ~recorded prog plan ~nprocs ~block in
   let layout = Layout.realize prog plan ~block in
-  let owner = Attribution.block_owner prog layout ~block in
-  List.fold_left
-    (fun acc (b, (c : Mpcache.counts)) ->
-      if Sched.is_sched_var (owner b) then acc + c.Mpcache.false_sh else acc)
-    0 run.Sim.per_block
+  let owner =
+    Attribution.owners prog layout ~block
+      (Array.of_list (List.map fst run.Sim.per_block))
+  in
+  List.fold_left2
+    (fun acc (o : Attribution.owner) (_, (c : Mpcache.counts)) ->
+      if Sched.is_sched_var o.var then acc + c.Mpcache.false_sh else acc)
+    0 (Array.to_list owner) run.Sim.per_block
 
 let stealing_table ?(blocks = [ 16; 128 ]) ?(seed = 42) ?scale_override
     ?options ?jobs () =

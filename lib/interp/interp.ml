@@ -8,7 +8,7 @@ module Cell_trace = Fs_trace.Cell_trace
 module Sched = Fs_sched.Sched
 module Rng = Fs_util.Rng
 
-exception Runtime_error of string
+exception Runtime_error = Value.Runtime_error
 exception Deadlock of string
 exception Nontermination of string
 
@@ -309,8 +309,16 @@ let int_binop (op : Ast.binop) a b =
   | Add -> fun env -> let y = b env in a env + y
   | Sub -> fun env -> let y = b env in a env - y
   | Mul -> fun env -> let y = b env in a env * y
-  | Div -> fun env -> let y = b env in a env / y
-  | Mod -> fun env -> let y = b env in a env mod y
+  | Div ->
+    fun env ->
+      let y = b env in
+      let x = a env in
+      if y = 0 then Value.zero_divisor "/" else x / y
+  | Mod ->
+    fun env ->
+      let y = b env in
+      let x = a env in
+      if y = 0 then Value.zero_divisor "%" else x mod y
   | Eq -> fun env -> let y = b env in if a env = y then 1 else 0
   | Ne -> fun env -> let y = b env in if a env <> y then 1 else 0
   | Lt -> fun env -> let y = b env in if a env < y then 1 else 0

@@ -45,6 +45,9 @@
     scheduler seeds give bit-identical traces, counts and stores. *)
 
 exception Runtime_error of string
+(** The program's own dynamic errors; the same exception as
+    {!Value.Runtime_error}. *)
+
 exception Deadlock of string
 exception Nontermination of string
 
@@ -119,9 +122,8 @@ val run :
     [max_steps] (default 400 million) bounds total work.
 
     @raise Runtime_error on dynamic errors (bad index, unlock of a lock
-      not held, missing return value)
+      not held, missing return value, a zero divisor of [/] or [%])
     @raise Value.Type_error on a float index or a float [mod] operand
-    @raise Division_by_zero on a zero divisor
     @raise Deadlock when no process can make progress
     @raise Nontermination when [max_steps] is exceeded *)
 

@@ -3,6 +3,10 @@ module Ast = Fs_ir.Ast
 type t = Vint of int | Vfloat of float
 
 exception Type_error of string
+exception Runtime_error of string
+
+let zero_divisor op =
+  raise (Runtime_error (Printf.sprintf "division by zero (%s)" op))
 
 let zero = Vint 0
 let of_bool b = Vint (if b then 1 else 0)
@@ -38,14 +42,14 @@ let binop op a b =
   | Ast.Mul -> arith ( * ) ( *. ) a b
   | Ast.Div -> (
     match (a, b) with
-    | Vint _, Vint 0 -> raise Division_by_zero
+    | Vint _, Vint 0 -> zero_divisor "/"
     | Vint x, Vint y -> Vint (x / y)
     | _ ->
       let d = to_float b in
-      if d = 0.0 then raise Division_by_zero else Vfloat (to_float a /. d))
+      if d = 0.0 then zero_divisor "/" else Vfloat (to_float a /. d))
   | Ast.Mod -> (
     match (a, b) with
-    | Vint _, Vint 0 -> raise Division_by_zero
+    | Vint _, Vint 0 -> zero_divisor "%"
     | Vint x, Vint y -> Vint (x mod y)
     | _ -> raise (Type_error "mod requires integer operands"))
   | Ast.Eq -> of_bool (compare_vals a b = 0)

@@ -7,6 +7,15 @@ type t = Vint of int | Vfloat of float
 
 exception Type_error of string
 
+exception Runtime_error of string
+(** A dynamic error of the running program; re-exported as
+    [Interp.Runtime_error]. *)
+
+val zero_divisor : string -> 'a
+(** [zero_divisor op] raises {!Runtime_error} for a zero divisor of the
+    ParC operator [op] (["/"] or ["%"]) — the one route for both the
+    boxed operators below and the interpreter's unboxed ones. *)
+
 val zero : t
 val of_bool : bool -> t
 val to_int : t -> int
@@ -18,7 +27,7 @@ val binop : Fs_ir.Ast.binop -> t -> t -> t
 (** Lock words are plain ints, so every operator accepts every value
     except as noted.
     @raise Type_error on [Mod] with a float operand
-    @raise Division_by_zero on a zero divisor of [Div] (int or float) or of
+    @raise Runtime_error on a zero divisor of [Div] (int or float) or of
       an int [Mod] *)
 
 val pp : Format.formatter -> t -> unit

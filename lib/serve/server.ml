@@ -582,8 +582,10 @@ let handle_job t job =
       (200, body, cached, coalesced)
     | exception Client_error m -> (400, json_error m, false, false)
     | exception Http.Bad_request m -> (400, json_error m, false, false)
-    | exception Fs_layout.Plan.Plan_error m ->
-      (* the plan does not fit the requested configuration *)
+    | exception
+        (Fs_layout.Plan.Plan_error m | Fs_interp.Interp.Runtime_error m) ->
+      (* the plan does not fit the requested configuration, or the
+         program itself fails there *)
       (400, json_error m, false, false)
     | exception e ->
       (500, json_error (Printf.sprintf "internal error: %s" (Printexc.to_string e)),

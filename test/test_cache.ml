@@ -186,6 +186,45 @@ let test_shared_words () =
     Alcotest.(check int) "and it is shared" 1 l.C.shared_words
   | _ -> Alcotest.fail "expected one line"
 
+(* The slot-indexed tracking tables against the test-side oracle, which
+   re-derives them from an untracked cache's outcomes: random processors,
+   small caches (evictions), addresses over enough blocks that the slot
+   tables and the block arrays both grow, and each flag alone or both. *)
+let test_tracking_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* nprocs = int_range 1 8 in
+      let* block = oneofl [ 4; 16; 64; 128 ] in
+      let* assoc = int_range 1 4 in
+      let* nsets = oneofl [ 1; 2; 8 ] in
+      let* flags = oneofl [ (true, true); (true, false); (false, true) ] in
+      let* span = oneofl [ 256; 4096; 65536 ] in
+      let+ ops =
+        list_size (int_range 1 600)
+          (triple (int_range 0 (nprocs - 1)) bool (int_range 0 (span - 1)))
+      in
+      (nprocs, block, assoc * nsets * block, assoc, flags, ops))
+  in
+  let print (nprocs, block, cache_bytes, assoc, (tb, tl), ops) =
+    Printf.sprintf "P=%d block=%d cache=%d assoc=%d blocks=%b lines=%b, %d ops"
+      nprocs block cache_bytes assoc tb tl (List.length ops)
+  in
+  QCheck.Test.make ~name:"tracking tables match the oracle" ~count:300
+    (QCheck.make gen ~print)
+    (fun (nprocs, block, cache_bytes, assoc, (track_blocks, track_lines), ops) ->
+      let cfg = { C.nprocs; block; cache_bytes; assoc } in
+      let t = C.create ~track_blocks ~track_lines cfg in
+      let o = Tutil.Oracle.create (C.create cfg) in
+      List.iter
+        (fun (proc, write, word) ->
+          let addr = 4 * word in
+          Tutil.Oracle.sink o ~proc ~write ~addr;
+          C.touch t ~proc ~write ~addr)
+        ops;
+      C.counts t = C.counts o.Tutil.Oracle.cache
+      && ((not track_blocks) || C.per_block t = Tutil.Oracle.per_block o)
+      && ((not track_lines) || C.lines t = Tutil.Oracle.lines o))
+
 let test_tracking_off_raises () =
   let t = mk () in
   ignore (wr t 0 0);
@@ -312,6 +351,7 @@ let suite =
     Alcotest.test_case "line tracking" `Quick test_line_tracking;
     Alcotest.test_case "shared words" `Quick test_shared_words;
     Alcotest.test_case "tracking off raises" `Quick test_tracking_off_raises;
+    QCheck_alcotest.to_alcotest test_tracking_matches_oracle;
     Alcotest.test_case "counts arithmetic" `Quick test_counts_arithmetic;
     Alcotest.test_case "miss rates" `Quick test_miss_rates;
     Alcotest.test_case "touch matches access" `Quick test_touch_matches_access;

@@ -49,6 +49,15 @@ let test_unrealizable_plan () =
      ways does not fit extent 96"
     (String.trim text)
 
+(* topopt at P=50, scale 1 divides by a per-processor share that is
+   zero: the program's runtime error, reported like a plan that does not
+   fit *)
+let test_runtime_error () =
+  let code, text = run [ "sim"; "topopt"; "-p"; "50"; "-s"; "1" ] in
+  Alcotest.(check int) "plain error exit" 1 code;
+  Alcotest.(check string) "one line" "falseshare: sim: division by zero (%)"
+    (String.trim text)
+
 let json_of what text =
   match Fs_obs.Json.of_string text with
   | Ok j -> j
@@ -119,5 +128,7 @@ let suite =
     Alcotest.test_case "--procs 256 runs" `Quick test_procs_upper_bound_runs;
     Alcotest.test_case "unrealizable plan is a plain error" `Quick
       test_unrealizable_plan;
+    Alcotest.test_case "runtime error is a plain error" `Quick
+      test_runtime_error;
     Alcotest.test_case "trace replay counts equal sim" `Quick
       test_trace_replay_matches_sim ]

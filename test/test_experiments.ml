@@ -130,6 +130,112 @@ let test_attribution () =
     (total_fs rows' * 10 < total_fs rows);
   Tutil.check_contains "render" (Falseshare.Attribution.render rows) "gates"
 
+(* The attribution rule as it was first written, kept as the reference
+   for Attribution.owners: a hashtable of owner tables over every block,
+   and a scan of the owner's cells per block. *)
+module Attr_ref = struct
+  module Layout = Fs_layout.Layout
+  module A = Falseshare.Attribution
+
+  let block_owner prog layout ~block =
+    let owner_cells : (int, (string, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
+    let bump blk var =
+      let tbl =
+        match Hashtbl.find_opt owner_cells blk with
+        | Some t -> t
+        | None ->
+          let t = Hashtbl.create 4 in
+          Hashtbl.add owner_cells blk t;
+          t
+      in
+      Hashtbl.replace tbl var (1 + Option.value (Hashtbl.find_opt tbl var) ~default:0)
+    in
+    List.iter
+      (fun (name, _) ->
+        let vl = Layout.lookup layout name in
+        Array.iter (fun a -> bump (a / block) name) vl.Layout.addr;
+        Array.iter (fun a -> if a >= 0 then bump (a / block) A.pointer_owner) vl.Layout.extra)
+      prog.Fs_ir.Ast.globals;
+    fun blk ->
+      match Hashtbl.find_opt owner_cells blk with
+      | None -> A.unmapped_owner
+      | Some tbl ->
+        fst
+          (Hashtbl.fold
+             (fun var n (bv, bn) -> if n > bn then (var, n) else (bv, bn))
+             tbl (A.unmapped_owner, 0))
+
+  let cell_range prog layout ~block var blk =
+    match List.assoc_opt var prog.Fs_ir.Ast.globals with
+    | None -> (-1, -1)
+    | Some _ ->
+      let vl = Layout.lookup layout var in
+      let lo = ref max_int and hi = ref (-1) in
+      Array.iteri
+        (fun cell a ->
+          if a / block = blk then begin
+            if cell < !lo then lo := cell;
+            if cell > !hi then hi := cell
+          end)
+        vl.Layout.addr;
+      if !hi < 0 then (-1, -1) else (!lo, !hi)
+
+  (* owners of every block of the layout and one past it, against the
+     reference; returns the blocks checked *)
+  let check what prog layout ~block =
+    let nblocks = (Layout.size layout / block) + 1 in
+    let blocks = Array.init nblocks Fun.id in
+    let got = A.owners prog layout ~block blocks in
+    let owner = block_owner prog layout ~block in
+    Array.iteri
+      (fun b (o : A.owner) ->
+        let var = owner b in
+        let lo, hi = cell_range prog layout ~block var b in
+        if (o.var, o.cell_lo, o.cell_hi) <> (var, lo, hi) then
+          Alcotest.failf "%s block %d: owners says %s [%d,%d], reference %s [%d,%d]"
+            what b o.var o.cell_lo o.cell_hi var lo hi)
+      got;
+    (* repeated and unordered requests answer the same *)
+    let again = A.owners prog layout ~block (Array.append (Array.map (fun b -> nblocks - 1 - b) blocks) blocks) in
+    Array.iteri
+      (fun i (o : A.owner) ->
+        if o <> got.(if i < nblocks then nblocks - 1 - i else i - nblocks) then
+          Alcotest.failf "%s: a repeated request answered differently" what)
+      again
+end
+
+let test_owners_identity () =
+  let nprocs = 4 and scale = 1 in
+  List.iter
+    (fun (w : W.t) ->
+      let prog = w.build ~nprocs ~scale in
+      List.iter
+        (fun version ->
+          if version <> W.P || w.programmer_plan <> None then
+            let plan = E.plan_for w version prog ~nprocs ~scale in
+            List.iter
+              (fun block ->
+                Attr_ref.check
+                  (Printf.sprintf "%s/%s b=%d" w.name (W.version_to_string version) block)
+                  prog (Fs_layout.Layout.realize prog plan ~block) ~block)
+              [ 16; 64; 128 ])
+        [ W.N; W.C; W.P ])
+    Fs_workloads.Workloads.every;
+  (* two and three variables tied on cell count in one block: the winner
+     is whichever the reference's table fold meets first *)
+  let open Fs_ir.Dsl in
+  let prog =
+    Fs_ir.Validate.validate_exn
+      (program ~name:"ties"
+         ~globals:[ ("a", arr int_t 2); ("b", arr int_t 2); ("c", arr int_t 3);
+                    ("d", arr int_t 3); ("e", arr int_t 2) ]
+         [ fn "main" [] [ (v "a").%(i 0) <-- i 1 ] ])
+  in
+  Attr_ref.check "ties" prog (Fs_layout.Layout.default prog ~block:16) ~block:16;
+  Attr_ref.check "ties" prog (Fs_layout.Layout.default prog ~block:32) ~block:32;
+  let o = Falseshare.Attribution.owners prog (Fs_layout.Layout.default prog ~block:16) ~block:16 [| 0 |] in
+  Alcotest.(check bool) "block 0 goes to a or b" true (o.(0).var = "a" || o.(0).var = "b")
+
 let test_parc_example_file () =
   (* the shipped .parc example parses, validates, and gets the expected plan *)
   let file = "../../../examples/histogram.parc" in
@@ -152,4 +258,6 @@ let test_parc_example_file () =
 let suite =
   suite
   @ [ Alcotest.test_case "attribution" `Slow test_attribution;
-      Alcotest.test_case "parc example file" `Quick test_parc_example_file ]
+      Alcotest.test_case "parc example file" `Quick test_parc_example_file;
+      Alcotest.test_case "owners match the reference attribution" `Quick
+        test_owners_identity ]

@@ -165,14 +165,28 @@ let test_runtime_errors () =
     (dsl_prog [ ("x", int_t) ]
        [ fn "f" [] []; fn "main" [] [ decl "r" (i 0); call_ret "r" "f" [] ] ])
 
+(* a zero divisor is the program's runtime error, naming the operator,
+   on the unboxed int path and on the boxed path of a float-typed cell *)
 let test_division_by_zero () =
   let open Dsl in
-  let p =
-    dsl_prog [ ("x", int_t) ] [ fn "main" [] [ (v "x") <-- (i 1 /% ld (v "x")) ] ]
+  let expect what op p =
+    match run_quiet p with
+    | _ -> Alcotest.fail ("expected a runtime error: " ^ what)
+    | exception Interp.Runtime_error msg ->
+      Alcotest.(check string) what (Printf.sprintf "division by zero (%s)" op) msg
   in
-  match run_quiet p with
-  | _ -> Alcotest.fail "expected Division_by_zero"
-  | exception Division_by_zero -> ()
+  expect "int /" "/"
+    (dsl_prog [ ("x", int_t) ] [ fn "main" [] [ (v "x") <-- (i 1 /% ld (v "x")) ] ]);
+  expect "int %" "%"
+    (dsl_prog [ ("x", int_t) ] [ fn "main" [] [ (v "x") <-- (i 1 %% ld (v "x")) ] ]);
+  (* [z] is assigned a float somewhere, so it is a boxed slot *)
+  let boxed e =
+    dsl_prog [ ("x", int_t) ]
+      [ fn "main" [] [ decl "z" (f 1.5); set "z" (i 0); (v "x") <-- e (p "z") ] ]
+  in
+  expect "boxed int /" "/" (boxed (fun z -> i 1 /% z));
+  expect "boxed int %" "%" (boxed (fun z -> i 1 %% z));
+  expect "float /" "/" (boxed (fun z -> f 1.0 /% (z +% f 0.0)))
 
 let test_trace_determinism () =
   let open Dsl in
@@ -405,7 +419,10 @@ let test_mixed_errors () =
     | exception e when exn_ok e -> ()
   in
   let type_error = function Value.Type_error _ -> true | _ -> false in
-  let div_zero = function Division_by_zero -> true | _ -> false in
+  let div_zero = function
+    | Interp.Runtime_error msg -> Tutil.contains msg "division by zero"
+    | _ -> false
+  in
   expect "float index" type_error
     (dsl_prog [ ("a", arr int_t 4) ] [ fn "main" [] [ (v "a").%(f 1.0) <-- i 1 ] ]);
   expect "float mod" type_error

@@ -157,6 +157,43 @@ let test_fused_equivalence () =
         [ W.N; W.C ])
     Ws.all
 
+(* The tracking tables Hotlines reads — a fused replay into a cache with
+   ~track_blocks and ~track_lines — against the test-side oracle, which
+   re-derives them from an untracked cache's outcomes over the listener
+   path: every workload (dynamic ones seeded), N and C, 16 and 128 B. *)
+let test_tracking_oracle () =
+  let nprocs = 4 and scale = 1 in
+  List.iter
+    (fun (w : W.t) ->
+      let prog = w.build ~nprocs ~scale in
+      let sched = if w.dynamic then Some (Fs_sched.Sched.seeded 5) else None in
+      let trace, _ = Interp.record ?sched prog ~nprocs in
+      List.iter
+        (fun version ->
+          let plan = E.plan_for w version prog ~nprocs ~scale in
+          List.iter
+            (fun block ->
+              let layout = Layout.realize prog plan ~block in
+              let cfg = Fs_cache.Mpcache.default_config ~nprocs ~block in
+              let tracked =
+                Fs_cache.Mpcache.create ~track_blocks:true ~track_lines:true
+                  ~max_addr:(Layout.size layout) cfg
+              in
+              Replay.simulate trace ~layout ~cache:tracked;
+              let o = Tutil.Oracle.create (Fs_cache.Mpcache.create cfg) in
+              Replay.replay_to_sink trace ~layout ~sink:(Tutil.Oracle.sink o);
+              let what =
+                Printf.sprintf "%s/%s b=%d" w.name
+                  (W.version_to_string version) block
+              in
+              Alcotest.(check bool) (what ^ ": per-block counts") true
+                (Fs_cache.Mpcache.per_block tracked = Tutil.Oracle.per_block o);
+              Alcotest.(check bool) (what ^ ": line tables") true
+                (Fs_cache.Mpcache.lines tracked = Tutil.Oracle.lines o))
+            [ 16; 128 ])
+        [ W.N; W.C ])
+    Ws.every
+
 (* Without a ~max_addr hint the cache's flat arrays grow on demand; the
    counts must not depend on the presizing. *)
 let test_fused_growth () =
@@ -561,6 +598,8 @@ let suite =
     Alcotest.test_case "fused engine count equivalence (all benchmarks)" `Quick
       test_fused_equivalence;
     Alcotest.test_case "fused engine growable arrays" `Quick test_fused_growth;
+    Alcotest.test_case "tracking tables match the oracle (all workloads)"
+      `Quick test_tracking_oracle;
     Alcotest.test_case "streamed replay identity" `Quick
       test_stream_replay_identity;
     Alcotest.test_case "event packing" `Quick test_pack_roundtrip;

@@ -575,6 +575,28 @@ let test_server_unrealizable_plan () =
       let s, _, _ = Http.request ~port "/healthz" in
       Alcotest.(check int) "still serving" 200 s)
 
+(* A program that fails at run time at the requested configuration
+   (topopt divides by zero at P=50, scale 1) is the client's fault too:
+   a 400 naming the error, and the daemon keeps serving. *)
+let test_server_runtime_error () =
+  let cache_dir = fresh_dir "rterr" in
+  let cfg =
+    { Srv.default_config with workers = 1; queue_capacity = 4; jobs = 1; cache_dir }
+  in
+  let t = Srv.start cfg in
+  let port = Srv.port t in
+  Fun.protect
+    ~finally:(fun () -> Srv.stop t)
+    (fun () ->
+      let s, _, b =
+        Http.request ~port ~body:{|{"workload":"topopt","nprocs":50,"scale":1}|}
+          "/analyze"
+      in
+      Alcotest.(check int) "status" 400 s;
+      Tutil.check_contains "names the error" b "division by zero (%)";
+      let s, _, _ = Http.request ~port "/healthz" in
+      Alcotest.(check int) "still serving" 200 s)
+
 let test_server_backpressure () =
   let cache_dir = fresh_dir "bp" in
   let cfg =
@@ -641,5 +663,6 @@ let suite =
     Alcotest.test_case "daemon end to end" `Quick test_server_end_to_end;
     Alcotest.test_case "daemon sched seed" `Quick test_server_sched_seed;
     Alcotest.test_case "daemon unrealizable plan" `Quick test_server_unrealizable_plan;
+    Alcotest.test_case "daemon runtime error" `Quick test_server_runtime_error;
     Alcotest.test_case "daemon backpressure" `Quick test_server_backpressure;
     Alcotest.test_case "daemon quitquitquit" `Quick test_server_quitquitquit ]

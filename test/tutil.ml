@@ -149,3 +149,81 @@ let check_histogram what samples name labels =
   Alcotest.(check int) (what ^ ": +Inf bucket = _count") count
     (List.nth cums (List.length cums - 1));
   ignore (float_of_string (find_sample what samples (name ^ "_sum") labels))
+
+(* ------------------------------------------------------------------ *)
+(* An independent oracle for Mpcache's tracking tables.  It watches the
+   boxed outcomes of an untracked cache and re-derives the per-block
+   counts and the line lifetimes its own way: hashtables, and each
+   line's write history kept whole and read off at the end. *)
+
+module Oracle = struct
+  module C = Fs_cache.Mpcache
+
+  type oline = { c : C.counts; mutable rmask : int; mutable wmask : int;
+                 mutable hist : (int * bool) list;  (* writer, invalidated; newest first *)
+                 wwords : int array }
+
+  type t = { block : int; cache : C.t; tbl : (int, oline) Hashtbl.t }
+
+  let create cache = { block = (C.config cache).C.block; cache; tbl = Hashtbl.create 64 }
+
+  let sink o ~proc ~write ~addr =
+    let b = addr / o.block in
+    let l =
+      match Hashtbl.find_opt o.tbl b with
+      | Some l -> l
+      | None ->
+        let l = { c = C.zero_counts (); rmask = 0; wmask = 0; hist = [];
+                  wwords = Array.make (o.block / 4) 0 } in
+        Hashtbl.add o.tbl b l; l
+    in
+    let c = l.c and bit = 1 lsl proc in
+    let inv =
+      match C.access o.cache ~proc ~write ~addr with
+      | C.Hit -> 0
+      | C.Upgrade { invalidated } -> c.upgrades <- c.upgrades + 1; invalidated
+      | C.Miss { info; invalidated } ->
+        (match info.C.kind with
+         | C.Cold -> c.cold <- c.cold + 1
+         | C.Replacement -> c.repl <- c.repl + 1
+         | C.True_sharing -> c.true_sh <- c.true_sh + 1
+         | C.False_sharing -> c.false_sh <- c.false_sh + 1);
+        invalidated
+    in
+    c.invalidations <- c.invalidations + inv;
+    if write then begin
+      c.writes <- c.writes + 1;
+      l.wmask <- l.wmask lor bit;
+      let w = addr mod o.block / 4 in
+      l.wwords.(w) <- l.wwords.(w) lor bit;
+      l.hist <- (proc, inv > 0) :: l.hist
+    end
+    else (c.reads <- c.reads + 1; l.rmask <- l.rmask lor bit)
+
+  let bits m = List.length (List.filter (fun p -> m land (1 lsl p) <> 0) (List.init 62 Fun.id))
+  let count p a = Array.fold_left (fun n x -> if p x then n + 1 else n) 0 a
+  let longest p a =  (* longest streak of elements satisfying [p] *)
+    fst (Array.fold_left (fun (best, cur) x ->
+        let cur = if p x then cur + 1 else 0 in (max best cur, cur)) (0, 0) a)
+
+  let line b l =
+    let h = Array.of_list (List.rev l.hist) in
+    let w = Array.map fst h in
+    (* moved.(i): write i + 1 changed the writer *)
+    let moved = Array.init (max 0 (Array.length w - 1)) (fun i -> w.(i + 1) <> w.(i)) in
+    let run = longest Fun.id moved in
+    { C.line_block = b; line_reads = l.c.reads; line_writes = Array.length w;
+      writers = bits l.wmask; readers = bits l.rmask; migrations = count Fun.id moved;
+      pingpong = count Fun.id (Array.init (max 0 (Array.length w - 2)) (fun i ->
+          moved.(i + 1) && w.(i + 2) = w.(i)));
+      max_run = (if run = 0 then 0 else run + 1);
+      max_inval_chain = longest snd h;
+      written_words = count (( <> ) 0) l.wwords;
+      shared_words = count (fun m -> bits m >= 2) l.wwords;
+      word_writers = Array.copy l.wwords }
+
+  let sorted o =
+    List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.fold (fun b l acc -> (b, l) :: acc) o.tbl [])
+  let per_block o = List.map (fun (b, l) -> (b, C.copy_counts l.c)) (sorted o)
+  let lines o = List.map (fun (b, l) -> line b l) (sorted o)
+end
