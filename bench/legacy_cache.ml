@@ -3,12 +3,15 @@
    hashtable, and int-list LRU sets rebuilt with [List.filter] on every
    eviction and invalidation.
 
-   Kept ONLY as the measurement baseline for the bench `simspeed`
-   section, so the fused engine's speedup is reported against the engine
-   it replaced rather than against itself.  Tracking tables and the
-   boxed outcome API are stripped: this is exactly the untracked
-   listener-path workload.  Tallies go into [Mpcache.counts] records so
-   the bench can assert count equality against the live engine. *)
+   Kept for two jobs.  It is the measurement baseline of the bench
+   `simspeed` section, so the fused engine's speedup is reported against
+   the engine it replaced rather than against itself.  And it is the
+   independent reference protocol of the tests (compiled into test/
+   with copy_files#): the fused Mpcache, and the cache embedded in the
+   KSR2 model, must count exactly what it counts.  Tracking tables and
+   the outcome API are stripped: it is a sink over addresses.  Tallies
+   go into [Mpcache.counts] records so counts compare directly against
+   the live engine. *)
 
 module C = Fs_cache.Mpcache
 

@@ -8,7 +8,7 @@
    A single argument selects one piece:
      fig3 | table2 | fig4 | table3 | stats | exectime | replay | simspeed |
      tracefmt | tracefmt-decode | tracescale | telemetry | micro |
-     ablation | repair | stealing | phases
+     ablation | repair | stealing | phases | ksr
    plus `quick`, which shrinks the processor sweep for a fast pass,
    `baseline`, which runs the quick pass and seeds bench/BASELINE.json,
    and `check`, which runs the quick pass and fails (exit 1) if any
@@ -46,16 +46,16 @@ let time_it f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Best of five rounds of [reps] calls each, [f1] and [f2] alternating so
-   both meet the same host phase: their ratio is a same-run figure the
-   gate can floor. *)
-let best_of_pair ~reps f1 f2 =
+(* Best of [rounds] (default five) rounds of [reps] calls each, [f1] and
+   [f2] alternating so both meet the same host phase: their ratio is a
+   same-run figure the gate can floor. *)
+let best_of_pair ?(rounds = 5) ~reps f1 f2 =
   let round f =
     Gc.full_major ();
     snd (time_it (fun () -> for _ = 1 to reps do f () done))
   in
   let b1 = ref infinity and b2 = ref infinity in
-  for _ = 1 to 5 do
+  for _ = 1 to rounds do
     b1 := Float.min !b1 (round f1);
     b2 := Float.min !b2 (round f2)
   done;
@@ -477,7 +477,9 @@ let tracefmt_scale () =
         in
         let prog = w.W.build ~nprocs ~scale in
         let path = tmp_trace ("scale-" ^ name) in
-        let wr = Ct.Writer.create ~vars:(Interp.vars prog) ~nprocs path in
+        let wr =
+          Ct.Writer.create ~vars:(Fs_replay.Replay.vars_of prog) ~nprocs path
+        in
         let record_s =
           snd
             (time_it (fun () ->
@@ -749,8 +751,7 @@ let phases_bench () =
     time_it (fun () ->
         for _ = 1 to reps do
           let cache = C.create (C.default_config ~nprocs ~block:128) in
-          Fs_replay.Replay.replay_to_sink recorded.Sim.trace ~layout
-            ~sink:(C.sink cache)
+          Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache
         done)
   in
   let _, tracked =
@@ -759,18 +760,15 @@ let phases_bench () =
           let cache =
             C.create ~track_lines:true (C.default_config ~nprocs ~block:128)
           in
-          let tracker, close = Falseshare.Phases.tracker cache in
-          Fs_replay.Replay.replay recorded.Sim.trace ~layout
-            ~listener:
-              (Fs_trace.Listener.combine
-                 (Fs_trace.Listener.of_sink (C.sink cache))
-                 tracker);
-          ignore (close ())
+          (* the segmenter's per-epoch work: one counter snapshot *)
+          Fs_replay.Replay.simulate_epochs recorded.Sim.trace ~layout ~cache
+            ~epoch:(fun ~lo:_ ~hi:_ ->
+              ignore (Array.map C.copy_counts (C.proc_counts cache)))
         done)
   in
   let ratio = if plain > 0. then tracked /. plain else 1.0 in
   Printf.printf
-    "tracking overhead (pverify replay x%d): plain %.3fs, epoch+line \
+    "tracking overhead (pverify fused replay x%d): plain %.3fs, epoch+line \
      tracking %.3fs (%.2fx)\n"
     reps plain tracked ratio;
   (* what a Hotlines diagnosis runs: the fused loop into a cache tracking
@@ -801,6 +799,60 @@ let phases_bench () =
          ("fused_seconds", Json.float fused);
          ("fused_tracked_seconds", Json.float fused_tracked);
          ("fused_over_tracked", Json.float fused_over_tracked) ])
+
+(* ------------------------------------------------------------------ *)
+(* KSR2 model cost: the machine replay against one fused cache replay  *)
+
+let ksr_bench () =
+  section "KSR2 model cost (pverify, compiler layout, 128B)";
+  let w = Ws.find "pverify" in
+  let nprocs = w.W.fig3_procs in
+  (* the experiment scale: its trace (0.8 MB) and both sides' protocol
+     state stay cache-resident, so the ratio does not ride on memory
+     traffic from other tenants of the host *)
+  let prog = w.W.build ~nprocs ~scale:w.W.default_scale in
+  let trace = (Sim.record prog ~nprocs).Sim.trace in
+  let kc = Fs_machine.Ksr.default_config ~nprocs in
+  let layout =
+    Layout.realize prog (Sim.compiler_plan prog ~nprocs)
+      ~block:kc.Fs_machine.Ksr.block
+  in
+  let max_addr = Layout.size layout in
+  (* the fused replay runs the model's own cache configuration, so the
+     ratio prices the timing model alone *)
+  let fused () =
+    let cache =
+      C.create ~max_addr
+        { C.nprocs; block = kc.Fs_machine.Ksr.block;
+          cache_bytes = kc.Fs_machine.Ksr.cache_bytes;
+          assoc = kc.Fs_machine.Ksr.assoc }
+    in
+    Fs_replay.Replay.simulate trace ~layout ~cache
+  in
+  let ksr () =
+    let m = Fs_machine.Ksr.create ~max_addr kc in
+    Fs_replay.Replay.walk trace ~layout ~access:(Fs_machine.Ksr.access m)
+      ~other:(Fs_machine.Ksr.event m);
+    ignore (Fs_machine.Ksr.finish m)
+  in
+  (* one call per round and many rounds: each call is a few
+     milliseconds, and alternating them call by call keeps a host
+     slowdown from landing on one side only *)
+  let rounds = 60 in
+  let fused_s, ksr_s = best_of_pair ~rounds ~reps:1 fused ksr in
+  let fused_over_ksr = if ksr_s > 0. then fused_s /. ksr_s else 0. in
+  let events = Ct.length trace in
+  Printf.printf
+    "best of %d: fused replay %.2f ms, KSR2 model %.2f ms over %d events \
+     (fused/ksr %.3f)\n"
+    rounds (fused_s *. 1e3) (ksr_s *. 1e3) events fused_over_ksr;
+  record "ksr_cost" ~seconds:(fused_s +. ksr_s)
+    (Json.Obj
+       [ ("rounds", Json.Int rounds);
+         ("events", Json.Int events);
+         ("fused_seconds", Json.float fused_s);
+         ("ksr_seconds", Json.float ksr_s);
+         ("fused_over_ksr", Json.float fused_over_ksr) ])
 
 (* ------------------------------------------------------------------ *)
 (* Serving: daemon latency over loopback, cold store vs warm           *)
@@ -879,7 +931,7 @@ let serve_bench ~quick ~jobs () =
    deterministic experiment data *)
 let nondeterministic =
   [ "micro"; "replay"; "tracking_overhead"; "simspeed"; "telemetry-overhead";
-    "serve"; "tracefmt-decode"; "tracescale" ]
+    "serve"; "tracefmt-decode"; "tracescale"; "ksr_cost" ]
 
 (* Floors on same-run ratios inside wall-clock sections: (section, key,
    floor).  Two timings taken in one run share the host's speed, so
@@ -896,10 +948,19 @@ let nondeterministic =
    replay into a cache with ~track_blocks and ~track_lines, which is
    what a Hotlines diagnosis runs (pverify, 128 B blocks).  In the same
    build and container, hashtable tracking tables measured 0.42-0.46;
-   slot-indexed ones measure 0.82-0.90. *)
+   slot-indexed ones measure 0.82-0.90.
+
+   fused_over_ksr is a fused replay's time over the KSR2 model's replay
+   of the same trace and layout into the same cache configuration
+   (pverify, compiler layout, 128 B blocks): what the timing model costs
+   beyond the protocol.  In the same build and container, the model
+   driven through a listener (unpacked events, boxed outcomes, a
+   hashtable of busy blocks) measured 0.448-0.463; driven from the
+   packed trace it measures 0.634-0.723. *)
 let ratio_floors =
   [ ("tracefmt-decode", "v2_over_v1_decode", 0.07);
-    ("tracking_overhead", "fused_over_tracked", 0.6) ]
+    ("tracking_overhead", "fused_over_tracked", 0.6);
+    ("ksr_cost", "fused_over_ksr", 0.55) ]
 
 let baseline_path () =
   if Sys.file_exists "bench/BASELINE.json" then "bench/BASELINE.json"
@@ -1009,7 +1070,6 @@ let micro ~quick () =
   let open Toolkit in
   let pverify = Ws.find "pverify" in
   let prog = pverify.W.build ~nprocs:8 ~scale:1 in
-  let layout = Layout.default prog ~block:128 in
   let bench_analysis =
     Test.make ~name:"analyze+plan (pverify, P=8)"
       (Staged.stage (fun () -> ignore (T.plan prog ~nprocs:8)))
@@ -1023,7 +1083,7 @@ let micro ~quick () =
     Test.make ~name:"interpret (pverify, P=8)"
       (Staged.stage (fun () ->
            ignore
-             (Interp.run_to_sink prog ~nprocs:8 ~layout ~sink:Fs_trace.Sink.null)))
+             (Interp.run_packed prog ~nprocs:8 ~sink:ignore)))
   in
   let bench_cache =
     (* a synthetic ping-pong trace through the protocol simulator *)
@@ -1134,6 +1194,7 @@ let () =
   if all || gate || pick = "repair" then repair_bench ~jobs ();
   if all || gate || pick = "stealing" then stealing_bench ~jobs ();
   if all || gate || pick = "phases" then phases_bench ();
+  if all || gate || pick = "ksr" then ksr_bench ();
   if all || gate || pick = "serve" then serve_bench ~quick ~jobs ();
   if all || pick = "micro" then micro ~quick ();
   write_results ~quick ~jobs ~seconds:(Unix.gettimeofday () -. t0);

@@ -64,11 +64,30 @@ let nprocs_conv =
 let nprocs_arg =
   Arg.(value & opt nprocs_conv 12 & info [ "p"; "procs" ] ~docv:"P" ~doc:"Processor count.")
 
+(* integers a run would only trip over deep inside: refuse them here,
+   as usage errors *)
+let checked_int_conv ~what check =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
+        | Some n -> Result.map_error (fun m -> `Msg m) (check n)),
+      Format.pp_print_int )
+
+let positive_conv what =
+  checked_int_conv ~what (fun n ->
+      if n >= 1 then Ok n else Error (Printf.sprintf "%s must be at least 1, got %d" what n))
+
 let scale_arg =
-  Arg.(value & opt (some int) None & info [ "s"; "scale" ] ~docv:"N" ~doc:"Problem scale.")
+  Arg.(value & opt (some (positive_conv "scale")) None
+       & info [ "s"; "scale" ] ~docv:"N" ~doc:"Problem scale.")
+
+let block_conv = checked_int_conv ~what:"block size" E.check_block
 
 let block_arg =
-  Arg.(value & opt int 128 & info [ "b"; "block" ] ~docv:"BYTES" ~doc:"Cache block size.")
+  Arg.(value & opt block_conv 128
+       & info [ "b"; "block" ] ~docv:"BYTES"
+           ~doc:"Cache block size: a power of two in 4..4096.")
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of text.")
@@ -205,6 +224,19 @@ let plan_of w version prog ~nprocs ~scale =
   let v = match version with `U -> W.N | `C -> W.C | `P -> W.P in
   E.checked_plan_for w v prog ~nprocs ~scale
 
+(* The stages of the last [Pipeline.run] — the children of its
+   "pipeline" span in the recorder [with_telemetry] installed — preceded
+   by the named spans of [before] (the most recent of each). *)
+let pipeline_stages ?(before = []) () =
+  let recorder =
+    match Fs_obs.Span.current () with Some r -> r | None -> assert false
+  in
+  let last = Fs_obs.Span.last recorder in
+  ( recorder,
+    List.filter_map last before
+    @ Option.fold ~none:[] ~some:(Fs_obs.Span.children recorder)
+        (last "pipeline") )
+
 (* --- list --- *)
 
 let list_cmd =
@@ -245,13 +277,17 @@ let report_cmd =
     let sched = sched_of w seed in
     let prog = w.W.build ~nprocs ~scale:(scale_of w scale) in
     let r = Pipeline.run ?sched prog ~nprocs ~block in
-    if json then print_json (Json.Obj [ ("report", Emit.transform_report r.Pipeline.report);
-                                        ("profile", Fs_obs.Profile.to_json r.profile);
-                                        ("metrics", Fs_obs.Metrics.to_json r.metrics) ])
+    let recorder, stages = pipeline_stages () in
+    if json then
+      print_json
+        (Json.Obj
+           [ ("report", Emit.transform_report r.Pipeline.report);
+             ("profile", Fs_obs.Span.stages_to_json recorder stages);
+             ("metrics", Fs_obs.Metrics.to_json r.metrics) ])
     else begin
       Format.printf "%a@." T.pp_report r.Pipeline.report;
       print_endline "pipeline phases:";
-      print_string (Fs_obs.Profile.render r.profile)
+      print_string (Fs_obs.Span.stage_table recorder stages)
     end
   in
   Cmd.v
@@ -582,13 +618,17 @@ let timeline_cmd =
             ("true sharing", float_of_int d.C.true_sh);
             ("false sharing", float_of_int d.C.false_sh) ]
     in
-    let module L = Fs_trace.Listener in
+    let tll = Fs_obs.Timeline.listener tl in
     let listener =
-      L.combine
-        (Fs_obs.Timeline.listener tl)
-        (L.combine
-           (L.of_sink (C.sink cache))
-           { L.null with barrier_release = push_counters })
+      { tll with
+        access =
+          (fun ~proc ~write ~addr ->
+            tll.access ~proc ~write ~addr;
+            C.touch cache ~proc ~write ~addr);
+        barrier_release =
+          (fun () ->
+            tll.barrier_release ();
+            push_counters ()) }
     in
     Fs_replay.Replay.replay recorded.Sim.trace ~layout ~listener;
     push_counters ();
@@ -627,9 +667,8 @@ let check_cmd =
     let n = in_channel_length ic in
     let src = really_input_string ic n in
     close_in ic;
-    let profile = Fs_obs.Profile.create () in
     match
-      Fs_obs.Profile.time profile "parse"
+      Fs_obs.Span.stage "parse"
         ~events:(fun _ -> String.length src)
         (fun () -> Fs_parc.Parser.parse_and_validate src)
     with
@@ -656,21 +695,22 @@ let check_cmd =
             (List.length prog.Fs_ir.Ast.globals)
             (List.length prog.Fs_ir.Ast.funcs)
       | Some nprocs ->
-        let r = Pipeline.run ~profile prog ~nprocs ~block:128 in
+        let r = Pipeline.run prog ~nprocs ~block:128 in
+        let recorder, stages = pipeline_stages ~before:[ "parse" ] () in
         if json then
           print_json
             (Json.Obj
                [ ("ok", Json.Bool true);
                  ("name", Json.String prog.Fs_ir.Ast.pname);
                  ("report", Emit.transform_report r.Pipeline.report);
-                 ("profile", Fs_obs.Profile.to_json r.profile) ])
+                 ("profile", Fs_obs.Span.stages_to_json recorder stages) ])
         else begin
           Printf.printf "%s: ok (%d globals, %d functions)\n" prog.Fs_ir.Ast.pname
             (List.length prog.Fs_ir.Ast.globals)
             (List.length prog.Fs_ir.Ast.funcs);
           Format.printf "%a@." T.pp_report r.Pipeline.report;
           print_endline "pipeline phases:";
-          print_string (Fs_obs.Profile.render r.profile)
+          print_string (Fs_obs.Span.stage_table recorder stages)
         end)
   in
   Cmd.v
@@ -681,7 +721,7 @@ let check_cmd =
 
 let profile_cmd =
   let interval_arg =
-    Arg.(value & opt int 4096
+    Arg.(value & opt (positive_conv "flight interval") 4096
          & info [ "flight-interval" ] ~docv:"N"
              ~doc:"Packed events between flight-recorder samples.")
   in
@@ -850,7 +890,7 @@ let trace_format_arg =
                  trailing epoch index; the default).")
 
 let block_events_arg =
-  Arg.(value & opt int Ct.default_block_events
+  Arg.(value & opt (positive_conv "block events") Ct.default_block_events
        & info [ "block-events" ] ~docv:"N"
            ~doc:"Events per v2 block (default 65536).")
 
@@ -912,7 +952,7 @@ let trace_record_cmd =
        captures practical *)
     let wr =
       Ct.Writer.create ~format:fmt ~block_events
-        ~vars:(Fs_interp.Interp.vars prog) ~nprocs path
+        ~vars:(Fs_replay.Replay.vars_of prog) ~nprocs path
     in
     (* registered workloads terminate by construction, and --scale can
        legitimately push a capture past the default nontermination

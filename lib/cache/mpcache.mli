@@ -153,13 +153,21 @@ val config : t -> config
 val access : t -> proc:int -> write:bool -> addr:int -> outcome
 (** Simulate one reference. *)
 
+val access_raw : t -> proc:int -> write:bool -> addr:int -> int
+(** {!access} with the outcome packed into an int, allocation-free
+    unless [~track_pairs] is on: bits 0-2 a code (0 hit, 1 upgrade, 2-5
+    a miss of kind cold, replacement, true sharing, false sharing), bits
+    3-11 [provider + 1] (a miss only), bits 12 and up the invalidation
+    count.  The entry point of consumers that act on each outcome (the
+    KSR2 model). *)
+
 val touch : t -> proc:int -> write:bool -> addr:int -> unit
-(** Exactly {!access} minus the boxed [outcome] — the entry point of the
+(** Exactly {!access_raw}, result ignored — the entry point of the
     fused replay loop, which needs the counters but not the per-reference
     result.  Allocation-free unless [~track_pairs] is on. *)
 
 val sink : t -> Fs_trace.Sink.t
-(** Feed the simulator from an interpreter run, ignoring outcomes. *)
+(** {!touch} as a sink, for {!Fs_replay.Replay.replay_to_sink}. *)
 
 val counts : t -> counts
 (** Live totals (the record is the simulator's own accumulator). *)

@@ -1,6 +1,5 @@
 module Mpcache = Fs_cache.Mpcache
 module Layout = Fs_layout.Layout
-module Interp = Fs_interp.Interp
 
 type owner = { var : string; cell_lo : int; cell_hi : int }
 
@@ -70,9 +69,8 @@ let attribute ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?sched prog plan ~nprocs
     Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
       { Mpcache.nprocs; block; cache_bytes; assoc }
   in
-  let _ =
-    Interp.run_to_sink ?sched prog ~nprocs ~layout ~sink:(Mpcache.sink cache)
-  in
+  let recorded = Sim.record ?sched prog ~nprocs in
+  Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache;
   let per_block = Mpcache.per_block cache in
   let owner = owners prog layout ~block (Array.of_list (List.map fst per_block)) in
   let per_var : (string, Mpcache.counts * int ref) Hashtbl.t = Hashtbl.create 32 in

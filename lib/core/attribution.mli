@@ -2,8 +2,9 @@
 
     The paper's central validation is that the static analysis identifies
     the data structures responsible for most false-sharing misses.  This
-    module closes that loop from the dynamic side: it runs the cache
-    simulation with per-block tracking and folds the per-block counters
+    module closes that loop from the dynamic side: it records one
+    execution, replays it fused into a cache with per-block tracking,
+    and folds the per-block counters
     back onto the shared globals through the layout's address map, so the
     simulator's verdict can be compared with the compiler's report
     structure by structure. *)

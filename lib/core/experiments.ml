@@ -50,6 +50,10 @@ let plan_for (w : Workload.t) version prog ~nprocs ~scale =
    caller's configuration, not an internal error, so the plan is
    validated here and its [Plan_error] re-raised naming the workload,
    the version and P — the one message the CLI and the daemon print. *)
+let check_block block =
+  if block >= 4 && block <= 4096 && block land (block - 1) = 0 then Ok block
+  else Error "block must be a power of two in 4..4096"
+
 let checked_plan_for (w : Workload.t) version prog ~nprocs ~scale =
   try
     let plan = plan_for w version prog ~nprocs ~scale in

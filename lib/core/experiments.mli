@@ -30,6 +30,10 @@ val checked_plan_for :
     the workload, the version and P, e.g.
     ["fmm, programmer plan at P=256: regroup of acc: ..."]. *)
 
+val check_block : int -> (int, string) result
+(** [Ok block] when [block] is a power of two in 4..4096 — the block
+    sizes the CLI and the daemon accept — else the message both report. *)
+
 val recorded_of : Trace_memo.entry -> Sim.recorded
 (** View a memoized trace as a replayable execution — the glue every
     driver (and the feedback layer above this library) uses between

@@ -1,8 +1,7 @@
 module Mpcache = Fs_cache.Mpcache
 module Layout = Fs_layout.Layout
+module Cell_event = Fs_trace.Cell_event
 module Cell_trace = Fs_trace.Cell_trace
-module Cell_listener = Fs_trace.Cell_listener
-module Listener = Fs_trace.Listener
 module Nonconcurrency = Fs_analysis.Nonconcurrency
 module Summary = Fs_analysis.Summary
 module Table = Fs_util.Table
@@ -64,19 +63,6 @@ let seg_close seg ~write_shared =
   seg.acc <- { index = seg.next; per_proc; write_shared } :: seg.acc;
   seg.prev <- now;
   seg.next <- seg.next + 1
-
-let seg_finish seg ~write_shared =
-  (* the tail of the run after the last barrier is an epoch of its own *)
-  seg_close seg ~write_shared;
-  List.rev seg.acc
-
-let tracker cache =
-  let seg = seg_create cache in
-  let listener =
-    { Listener.null with
-      barrier_release = (fun () -> seg_close seg ~write_shared:[]) }
-  in
-  (listener, fun () -> seg_finish seg ~write_shared:[])
 
 (* ------------------------------------------------------------------ *)
 (* The static prediction: per phase, which variables does the summary
@@ -168,35 +154,29 @@ let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?sched ?recorded prog plan
   in
   let trace = recorded.Sim.trace in
   let vars = Cell_trace.vars trace in
-  let o = Fs_replay.Replay.oracle layout ~vars in
-  let translated =
-    Fs_replay.Replay.translating o (Listener.of_sink (Mpcache.sink cache))
-  in
+  let data = Cell_trace.unsafe_data trace in
   let seg = seg_create cache in
-  (* per-variable writer bitmask, reset at each epoch boundary *)
+  (* per-variable bitmask of the processors writing it within the epoch *)
   let writer_masks = Array.make (Array.length vars) 0 in
-  let write_shared_now () =
-    let acc = ref [] in
-    Array.iteri
-      (fun v mask ->
-        if mask land (mask - 1) <> 0 then acc := (vars.(v), mask) :: !acc)
-      writer_masks;
-    List.sort compare !acc
-  in
-  let tap =
-    { Cell_listener.null with
-      access =
-        (fun ~proc ~write ~var ~cell:_ ->
-          if write then
-            writer_masks.(var) <- writer_masks.(var) lor (1 lsl proc));
-      barrier_release =
-        (fun () ->
-          seg_close seg ~write_shared:(write_shared_now ());
-          Array.fill writer_masks 0 (Array.length writer_masks) 0);
-    }
-  in
-  Cell_trace.deliver trace (Cell_listener.combine translated tap);
-  let epochs = seg_finish seg ~write_shared:(write_shared_now ()) in
+  Fs_replay.Replay.simulate_epochs trace ~layout ~cache ~epoch:(fun ~lo ~hi ->
+      Array.fill writer_masks 0 (Array.length writer_masks) 0;
+      for i = lo to hi - 1 do
+        let packed = data.(i) in
+        if Cell_event.packed_is_access packed && Cell_event.packed_write packed
+        then begin
+          let var = Cell_event.packed_var packed in
+          writer_masks.(var) <-
+            writer_masks.(var) lor (1 lsl Cell_event.packed_proc packed)
+        end
+      done;
+      let write_shared = ref [] in
+      Array.iteri
+        (fun v mask ->
+          if mask land (mask - 1) <> 0 then
+            write_shared := (vars.(v), mask) :: !write_shared)
+        writer_masks;
+      seg_close seg ~write_shared:(List.sort compare !write_shared));
+  let epochs = List.rev seg.acc in
   let aggregate = Mpcache.copy_counts (Mpcache.counts cache) in
   let static_phases, mapping, violations = cross_check prog ~nprocs epochs in
   { nprocs; block; epochs; aggregate; static_phases; mapping; violations }

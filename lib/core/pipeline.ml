@@ -4,26 +4,70 @@ module Nonconcurrency = Fs_analysis.Nonconcurrency
 module Summary = Fs_analysis.Summary
 module Layout = Fs_layout.Layout
 module Mpcache = Fs_cache.Mpcache
-module Ksr = Fs_machine.Ksr
 module Interp = Fs_interp.Interp
 module Replay = Fs_replay.Replay
+module Cell_event = Fs_trace.Cell_event
 module Cell_trace = Fs_trace.Cell_trace
-module Listener = Fs_trace.Listener
 module Metrics = Fs_obs.Metrics
-module Profile = Fs_obs.Profile
 module Span = Fs_obs.Span
-module Json = Fs_obs.Json
 
-type t = {
-  report : T.report;
-  cache : Sim.cache_run;
-  machine : Ksr.result option;
-  epochs : Phases.epoch list option;
-  metrics : Metrics.t;
-  profile : Profile.t;
-}
+type t = { report : T.report; cache : Sim.cache_run; metrics : Metrics.t }
 
 let proc_label p = [ ("proc", string_of_int p) ]
+
+(* Counters are registered only when they count something, as an
+   instrument that fires per event would register them. *)
+let add metrics ?(labels = []) name v =
+  if v > 0 then Metrics.Counter.add (Metrics.counter metrics ~labels name) v
+
+(* The interpreter's counters, derived after the run: accesses from the
+   cache's per-processor counts (pointer loads an indirection layout
+   injects included), work from the interpreter's result, and the
+   synchronization events from one pass over the trace's tags. *)
+let ingest_interp metrics ~proc_counts ~(interp : Interp.result) trace =
+  Array.iteri
+    (fun p (c : Mpcache.counts) ->
+      add metrics ~labels:(("kind", "read") :: proc_label p) "interp_accesses"
+        c.Mpcache.reads;
+      add metrics ~labels:(("kind", "write") :: proc_label p) "interp_accesses"
+        c.writes)
+    proc_counts;
+  Array.iteri
+    (fun p w -> add metrics ~labels:(proc_label p) "interp_work_units" w)
+    interp.Interp.work;
+  let nprocs = Cell_trace.nprocs trace in
+  (* per processor: barrier arrivals, lock waits, contended grants (handed
+     over by another processor) and grants of a free lock *)
+  let tally = Array.make_matrix 4 nprocs 0 and releases = ref 0 in
+  let data = Cell_trace.unsafe_data trace in
+  for i = 0 to Cell_trace.length trace - 1 do
+    let packed = data.(i) in
+    let tag = Cell_event.packed_tag packed in
+    let row =
+      if tag = Cell_event.tag_barrier_arrive then 0
+      else if tag = Cell_event.tag_lock_wait then 1
+      else if tag = Cell_event.tag_lock_grant then
+        if Cell_event.packed_grant_from1 packed > 0 then 2 else 3
+      else begin
+        if tag = Cell_event.tag_barrier_release then incr releases;
+        -1
+      end
+    in
+    if row >= 0 then begin
+      let p = Cell_event.packed_proc packed in
+      tally.(row).(p) <- tally.(row).(p) + 1
+    end
+  done;
+  for p = 0 to nprocs - 1 do
+    let labels = proc_label p in
+    add metrics ~labels "interp_barrier_arrivals" tally.(0).(p);
+    add metrics ~labels "interp_lock_waits" tally.(1).(p);
+    add metrics ~labels:(("contended", "true") :: labels) "interp_lock_grants"
+      tally.(2).(p);
+    add metrics ~labels:(("contended", "false") :: labels) "interp_lock_grants"
+      tally.(3).(p)
+  done;
+  add metrics "interp_barrier_releases" !releases
 
 let ingest_cache metrics ~proc_counts ~per_block =
   Array.iteri
@@ -48,28 +92,11 @@ let ingest_cache metrics ~proc_counts ~per_block =
         Metrics.Histogram.observe hist (float_of_int c.Mpcache.invalidations))
     per_block
 
-let ingest_machine metrics (r : Ksr.result) =
-  Metrics.Gauge.set (Metrics.gauge metrics "ksr_cycles") (float_of_int r.Ksr.cycles);
-  Array.iteri
-    (fun p stall ->
-      let lock = r.lock_stall.(p) in
-      let set name v =
-        Metrics.Gauge.set
-          (Metrics.gauge metrics ~labels:(proc_label p) name)
-          (float_of_int v)
-      in
-      set "ksr_mem_stall_cycles" r.mem_stall.(p);
-      set "ksr_barrier_idle_cycles" (stall - lock);
-      set "ksr_lock_stall_cycles" lock)
-    r.sync_stall
-
-let run ?options ?(machine = false) ?(epochs = false) ?plan
-    ?profile ?sched prog ~nprocs ~block =
+let run ?options ?plan ?sched prog ~nprocs ~block =
   Span.timed "pipeline"
     ~attrs:
       [ ("nprocs", string_of_int nprocs); ("block", string_of_int block) ]
   @@ fun () ->
-  let profile = match profile with Some p -> p | None -> Profile.create () in
   let metrics = Metrics.create () in
   let rsd_limit, static_profile =
     match options with
@@ -77,120 +104,50 @@ let run ?options ?(machine = false) ?(epochs = false) ?plan
     | None -> (T.default_options.rsd_limit, T.default_options.profile)
   in
   (* the analyses are timed stage by stage; the transform pass re-runs them
-     internally, so its entry reflects the full planning cost.  Each stage
-     also opens an ambient span, so a telemetry-enabled caller sees the
-     same names as the profile, arranged causally. *)
-  Span.timed "pdv" (fun () ->
-      ignore
-        (Profile.time profile "pdv"
-           ~events:(fun _ -> List.length prog.Fs_ir.Ast.funcs)
-           (fun () -> Pdv.analyze prog)));
-  Span.timed "non-concurrency" (fun () ->
-      ignore
-        (Profile.time profile "non-concurrency"
-           ~events:Nonconcurrency.phase_count
-           (fun () -> Nonconcurrency.analyze prog)));
-  Span.timed "summary" (fun () ->
-      ignore
-        (Profile.time profile "summary"
-           ~events:(fun s -> List.length (Summary.keys s))
-           (fun () ->
-             Summary.analyze ~rsd_limit ~profile:static_profile prog ~nprocs)));
+     internally, so its span reflects the full planning cost *)
+  ignore
+    (Span.stage "pdv"
+       ~events:(fun _ -> List.length prog.Fs_ir.Ast.funcs)
+       (fun () -> Pdv.analyze prog));
+  ignore
+    (Span.stage "non-concurrency" ~events:Nonconcurrency.phase_count (fun () ->
+         Nonconcurrency.analyze prog));
+  ignore
+    (Span.stage "summary"
+       ~events:(fun s -> List.length (Summary.keys s))
+       (fun () -> Summary.analyze ~rsd_limit ~profile:static_profile prog ~nprocs));
   let report =
-    Span.timed "transform" (fun () ->
-        Profile.time profile "transform"
-          ~events:(fun (r : T.report) -> List.length r.plan)
-          (fun () -> T.plan ?options prog ~nprocs))
+    Span.stage "transform"
+      ~events:(fun (r : T.report) -> List.length r.plan)
+      (fun () -> T.plan ?options prog ~nprocs)
   in
   Span.note "plan_actions" (string_of_int (List.length report.T.plan));
   let plan = Option.value plan ~default:report.T.plan in
   let layout =
-    Span.timed "layout" (fun () ->
-        Profile.time profile "layout" ~events:Layout.size (fun () ->
-            Layout.realize prog plan ~block))
+    Span.stage "layout" ~events:Layout.size (fun () ->
+        Layout.realize prog plan ~block)
   in
-  (* interpret once, layout-free; the cache and machine runs below both
-     replay the same trace under their own layouts *)
   let recorded =
-    Span.timed "interp" (fun () ->
-        Profile.time profile "interp"
-          ~events:(fun (r : Sim.recorded) ->
-            Array.fold_left ( + ) 0 r.interp.Interp.accesses)
-          (fun () -> Sim.record ?sched prog ~nprocs))
+    Span.stage "interp"
+      ~events:(fun (r : Sim.recorded) ->
+        Array.fold_left ( + ) 0 r.interp.Interp.accesses)
+      (fun () -> Sim.record ?sched prog ~nprocs)
   in
-  let cache_config = Mpcache.default_config ~nprocs ~block in
+  let trace = recorded.Sim.trace in
   let cache =
     Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
-      cache_config
+      (Mpcache.default_config ~nprocs ~block)
   in
-  let tracker, close_epochs =
-    if epochs then Phases.tracker cache else (Listener.null, fun () -> [])
-  in
-  let listener =
-    Listener.combine
-      (Listener.of_sink (Mpcache.sink cache))
-      (Listener.combine (Metrics.listener metrics) tracker)
-  in
-  Span.timed "replay+cache"
-    ~attrs:[ ("events", string_of_int (Cell_trace.length recorded.Sim.trace)) ]
-    (fun () ->
-      Profile.time profile "replay+cache"
-        ~events:(fun () -> Cell_trace.length recorded.Sim.trace)
-        (fun () -> Replay.replay recorded.Sim.trace ~layout ~listener));
-  let epoch_list = if epochs then Some (close_epochs ()) else None in
+  Span.stage "replay+cache"
+    ~events:(fun () -> Cell_trace.length trace)
+    (fun () -> Replay.simulate trace ~layout ~cache);
   let counts = Mpcache.counts cache and per_block = Mpcache.per_block cache in
-  ingest_cache metrics ~proc_counts:(Mpcache.proc_counts cache) ~per_block;
+  let proc_counts = Mpcache.proc_counts cache in
   let interp = recorded.Sim.interp in
-  let machine_result =
-    if not machine then None
-    else
-      Some
-        (Span.timed "machine" (fun () ->
-             Profile.time profile "machine"
-               ~events:(fun (r : Ksr.result) -> r.Ksr.cycles)
-               (fun () ->
-                 let m = Ksr.create (Ksr.default_config ~nprocs) in
-                 let mlayout =
-                   Layout.realize prog plan
-                     ~block:(Ksr.default_config ~nprocs).Ksr.block
-                 in
-                 Replay.replay recorded.Sim.trace ~layout:mlayout
-                   ~listener:(Ksr.listener m);
-                 Ksr.finish m)))
-  in
-  Option.iter (ingest_machine metrics) machine_result;
+  ingest_interp metrics ~proc_counts ~interp trace;
+  ingest_cache metrics ~proc_counts ~per_block;
   {
     report;
-    cache =
-      { Sim.counts; per_block; layout_bytes = Layout.size layout; interp };
-    machine = machine_result;
-    epochs = epoch_list;
+    cache = { Sim.counts; per_block; layout_bytes = Layout.size layout; interp };
     metrics;
-    profile;
   }
-
-let to_json t =
-  Json.Obj
-    ([ ("plan",
-        Json.List
-          (List.map
-             (fun a -> Json.String (Format.asprintf "%a" Fs_layout.Plan.pp_action a))
-             t.report.T.plan));
-       ("counts", Emit.counts t.cache.Sim.counts);
-       ("profile", Profile.to_json t.profile);
-       ("metrics", Metrics.to_json t.metrics) ]
-    @ (match t.epochs with
-       | None -> []
-       | Some es ->
-         [ ("epochs",
-            Json.List
-              (List.map
-                 (fun (e : Phases.epoch) ->
-                   Json.Obj
-                     [ ("index", Json.Int e.Phases.index);
-                       ("total", Emit.counts (Phases.epoch_total e)) ])
-                 es)) ])
-    @
-    match t.machine with
-    | None -> []
-    | Some m -> [ ("machine", Emit.machine m) ])

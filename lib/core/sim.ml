@@ -2,7 +2,6 @@ module Mpcache = Fs_cache.Mpcache
 module Layout = Fs_layout.Layout
 module Interp = Fs_interp.Interp
 module Replay = Fs_replay.Replay
-module Listener = Fs_trace.Listener
 module Ksr = Fs_machine.Ksr
 
 type recorded = { trace : Fs_trace.Cell_trace.t; interp : Interp.result }
@@ -46,8 +45,9 @@ let machine_sim ?config ?sched ?recorded prog plan ~nprocs =
     match recorded with Some r -> r | None -> record ?sched prog ~nprocs
   in
   let layout = Layout.realize prog plan ~block:config.Ksr.block in
-  let machine = Ksr.create config in
-  Replay.replay recorded.trace ~layout ~listener:(Ksr.listener machine);
+  let machine = Ksr.create ~max_addr:(Layout.size layout) config in
+  Replay.walk recorded.trace ~layout ~access:(Ksr.access machine)
+    ~other:(Ksr.event machine);
   { machine = Ksr.finish machine; work = recorded.interp.Interp.work }
 
 let compiler_plan ?options prog ~nprocs =

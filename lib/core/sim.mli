@@ -62,7 +62,9 @@ val machine_sim :
   Fs_layout.Plan.t ->
   nprocs:int ->
   timed_run
-(** Execution-time run on the KSR2 model (128-byte blocks). *)
+(** Execution-time run on the KSR2 model (128-byte blocks): the packed
+    trace walked once under the layout ({!Fs_replay.Replay.walk}), each
+    event costed as it passes. *)
 
 val compiler_plan :
   ?options:Fs_transform.Transform.options ->

@@ -1,9 +1,6 @@
 module Ast = Fs_ir.Ast
 module Cells = Fs_ir.Cells
-module Layout = Fs_layout.Layout
-module Listener = Fs_trace.Listener
 module Cell_event = Fs_trace.Cell_event
-module Cell_listener = Fs_trace.Cell_listener
 module Cell_trace = Fs_trace.Cell_trace
 module Sched = Fs_sched.Sched
 module Rng = Fs_util.Rng
@@ -982,30 +979,17 @@ let run_packed ?(quantum = 12) ?(max_steps = 400_000_000) ?sched prog ~nprocs
         sched_state;
   }
 
-let vars prog = Array.of_list (List.map fst prog.Ast.globals)
-
-let run_cells ?quantum ?max_steps ?sched prog ~nprocs ~cells =
-  run_packed ?quantum ?max_steps ?sched prog ~nprocs ~sink:(fun packed ->
-      Cell_listener.dispatch cells (Cell_event.unpack packed))
-
 let record ?quantum ?max_steps ?sched prog ~nprocs =
-  let trace = Cell_trace.create ~vars:(vars prog) ~nprocs in
+  let trace =
+    Cell_trace.create
+      ~vars:(Array.of_list (List.map fst prog.Ast.globals))
+      ~nprocs
+  in
   let r =
     run_packed ?quantum ?max_steps ?sched prog ~nprocs ~sink:(fun packed ->
         Cell_trace.push trace packed)
   in
   (trace, r)
-
-let run ?quantum ?max_steps ?sched prog ~nprocs ~layout ~listener =
-  (* the direct path: translation through the layout's address oracle
-     happens inline, as each event is produced *)
-  let oracle = Fs_replay.Replay.oracle layout ~vars:(vars prog) in
-  run_cells ?quantum ?max_steps ?sched prog ~nprocs
-    ~cells:(Fs_replay.Replay.translating oracle listener)
-
-let run_to_sink ?quantum ?max_steps ?sched prog ~nprocs ~layout ~sink =
-  run ?quantum ?max_steps ?sched prog ~nprocs ~layout
-    ~listener:(Listener.of_sink sink)
 
 let read_global r name cell =
   match Hashtbl.find_opt r.store name with

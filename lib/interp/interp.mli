@@ -17,11 +17,10 @@
     [int -> unit] sink ({!run_packed}).  Locks are likewise identified by
     cell, so the schedule is a property of the program alone and one
     interpreted execution can be re-laid-out arbitrarily often.
-    {!record} pushes the stream straight into a {!Fs_trace.Cell_trace};
-    {!run_cells} unpacks it for {!Fs_trace.Cell_listener} consumers, and
-    {!run} wires that through [Fs_replay.Replay.translating] so consumers
-    see byte addresses — when the layout carries an indirection, the
-    injected pointer load is emitted before the data access.  Spin
+    {!record} pushes the stream straight into a {!Fs_trace.Cell_trace},
+    and every consumer replays that trace under a layout
+    ([Fs_replay.Replay]), where cells become byte addresses and an
+    indirection layout's pointer loads appear.  Spin
     waiting on a contended lock is modelled as test-and-test-and-set: the
     initial probe read, then silence while spinning on the locally cached
     copy, then the re-read and the acquiring write when the lock is
@@ -71,8 +70,11 @@ val run_packed :
   result
 (** The layout-free core: one interpreted execution, every event passed
     to [sink] packed ({!Fs_trace.Cell_event.pack}), in program order.
-    Everything else is a wrapper.  [Cell_trace.Writer.push w] makes a
-    streaming recorder.
+    [Cell_trace.Writer.push w] makes a streaming recorder.
+
+    [quantum] (default 12) is the number of work units a process
+    executes between scheduling points; an access costs 3 units, other
+    statements 1.  [max_steps] (default 400 million) bounds total work.
 
     [sched] seeds the deterministic work-stealing runtime executing any
     [spawn]/[sync] in the program (see {!Fs_sched.Sched}); running a
@@ -81,17 +83,12 @@ val run_packed :
     identity.  For programs without tasks, [sched] is ignored.
 
     @raise Invalid_argument before any event when [nprocs] is outside
-      [1 .. Cell_event.max_proc + 1] *)
-
-val run_cells :
-  ?quantum:int ->
-  ?max_steps:int ->
-  ?sched:Fs_sched.Sched.config ->
-  Fs_ir.Ast.program ->
-  nprocs:int ->
-  cells:Fs_trace.Cell_listener.t ->
-  result
-(** {!run_packed} with each event unpacked and dispatched to [cells]. *)
+      [1 .. Cell_event.max_proc + 1]
+    @raise Runtime_error on dynamic errors (bad index, unlock of a lock
+      not held, missing return value, a zero divisor of [/] or [%])
+    @raise Value.Type_error on a float index or a float [mod] operand
+    @raise Deadlock when no process can make progress
+    @raise Nontermination when [max_steps] is exceeded *)
 
 val record :
   ?quantum:int ->
@@ -104,40 +101,6 @@ val record :
     replay under any layout.  Identical [sched] seeds give bit-identical
     traces; steals appear as [Cell_event.Steal] alongside the deque cell
     traffic. *)
-
-val vars : Fs_ir.Ast.program -> string array
-(** Variable ids in declaration order, as used by cell events. *)
-
-val run :
-  ?quantum:int ->
-  ?max_steps:int ->
-  ?sched:Fs_sched.Sched.config ->
-  Fs_ir.Ast.program ->
-  nprocs:int ->
-  layout:Fs_layout.Layout.t ->
-  listener:Fs_trace.Listener.t ->
-  result
-(** [quantum] (default 12) is the number of work units a process executes
-    between scheduling points; an access costs 3 units, other statements 1.
-    [max_steps] (default 400 million) bounds total work.
-
-    @raise Runtime_error on dynamic errors (bad index, unlock of a lock
-      not held, missing return value, a zero divisor of [/] or [%])
-    @raise Value.Type_error on a float index or a float [mod] operand
-    @raise Deadlock when no process can make progress
-    @raise Nontermination when [max_steps] is exceeded *)
-
-val run_to_sink :
-  ?quantum:int ->
-  ?max_steps:int ->
-  ?sched:Fs_sched.Sched.config ->
-  Fs_ir.Ast.program ->
-  nprocs:int ->
-  layout:Fs_layout.Layout.t ->
-  sink:Fs_trace.Sink.t ->
-  result
-(** Convenience wrapper around {!run} for consumers that only need memory
-    references. *)
 
 val read_global : result -> string -> int -> Value.t
 (** [read_global r name cell] reads a cell of the final shared memory.

@@ -1,5 +1,5 @@
 module Mpcache = Fs_cache.Mpcache
-module Listener = Fs_trace.Listener
+module Cell_event = Fs_trace.Cell_event
 
 type config = {
   nprocs : int;
@@ -54,17 +54,17 @@ type t = {
   mem_stall : int array;
   sync_stall : int array;
   lock_stall : int array;
-  busy_until : (int, int) Hashtbl.t;  (* block -> cycle it finishes serving *)
+  mutable busy_until : int array;  (* block -> cycle it finishes serving *)
   mutable phase_anchor : int;  (* wall time at which the current phase began *)
   mutable ring_cycles : int;   (* interconnect occupancy accrued this phase *)
   at_barrier : bool array;
 }
 
-let create cfg =
+let create ~max_addr cfg =
   {
     cfg;
     cache =
-      Mpcache.create
+      Mpcache.create ~max_addr
         {
           Mpcache.nprocs = cfg.nprocs;
           block = cfg.block;
@@ -75,7 +75,7 @@ let create cfg =
     mem_stall = Array.make cfg.nprocs 0;
     sync_stall = Array.make cfg.nprocs 0;
     lock_stall = Array.make cfg.nprocs 0;
-    busy_until = Hashtbl.create 256;
+    busy_until = Array.make ((max_addr / cfg.block) + 1) 0;
     phase_anchor = 0;
     ring_cycles = 0;
     at_barrier = Array.make cfg.nprocs false;
@@ -106,28 +106,36 @@ let miss_cost t ~proc ~block ~invalidated latency =
   (* Serialize concurrent misses to the same block: a request arriving
      while the block is still serving an earlier one queues behind it.
      The queueing delay is capped at a full round of waiters, which also
-     bounds the effect of cross-processor clock skew. *)
+     bounds the effect of cross-processor clock skew.  A block never
+     missed on reads as free since cycle 0. *)
+  if block >= Array.length t.busy_until then begin
+    let bigger = Array.make (max (block + 1) (2 * Array.length t.busy_until)) 0 in
+    Array.blit t.busy_until 0 bigger 0 (Array.length t.busy_until);
+    t.busy_until <- bigger
+  end;
+  let clock = t.clock.(proc) and busy = t.busy_until.(block) in
   let queued =
-    match Hashtbl.find_opt t.busy_until block with
-    | Some busy when busy > t.clock.(proc) ->
-      min (busy - t.clock.(proc)) (t.cfg.occupancy * t.cfg.nprocs)
-    | _ -> 0
+    if busy > clock then min (busy - clock) (t.cfg.occupancy * t.cfg.nprocs)
+    else 0
   in
-  Hashtbl.replace t.busy_until block
-    (max t.clock.(proc) (Option.value (Hashtbl.find_opt t.busy_until block) ~default:0)
-     + t.cfg.occupancy);
+  t.busy_until.(block) <- max clock busy + t.cfg.occupancy;
   ring_charge t ~invalidated;
   queued + latency
 
+(* One reference, costed from the cache's packed outcome word (see
+   {!Mpcache.access_raw}): code 0 a hit, 1 an upgrade, 2-5 a miss. *)
 let access t ~proc ~write ~addr =
-  let block = addr / t.cfg.block in
+  let raw = Mpcache.access_raw t.cache ~proc ~write ~addr in
+  let invalidated = raw lsr 12 in
   let cost =
-    match Mpcache.access t.cache ~proc ~write ~addr with
-    | Mpcache.Hit -> t.cfg.hit_cycles
-    | Mpcache.Upgrade { invalidated } ->
+    match raw land 7 with
+    | 0 -> t.cfg.hit_cycles
+    | 1 ->
       ring_charge t ~invalidated;
       t.cfg.upgrade_latency
-    | Mpcache.Miss { info = { provider; _ }; invalidated } ->
+    | _ ->
+      let block = addr / t.cfg.block in
+      let provider = ((raw lsr 3) land 0x1ff) - 1 in
       miss_cost t ~proc ~block ~invalidated
         (transfer_latency t ~proc ~provider ~block)
   in
@@ -170,25 +178,30 @@ let barrier_release t =
     t.ring_cycles <- 0
   end
 
-let listener t =
-  {
-    Listener.access = (fun ~proc ~write ~addr -> access t ~proc ~write ~addr);
-    work =
-      (fun ~proc ~amount ->
-        t.clock.(proc) <- t.clock.(proc) + (amount * t.cfg.work_cpi));
-    barrier_arrive = (fun ~proc -> t.at_barrier.(proc) <- true);
-    barrier_release = (fun () -> barrier_release t);
-    lock_wait = (fun ~proc:_ ~addr:_ -> ());
-    lock_grant =
-      (fun ~proc ~addr:_ ~from ->
-        (* A contended lock hands over no earlier than its release. *)
-        if from >= 0 && t.clock.(from) > t.clock.(proc) then begin
-          let stall = t.clock.(from) - t.clock.(proc) in
-          t.sync_stall.(proc) <- t.sync_stall.(proc) + stall;
-          t.lock_stall.(proc) <- t.lock_stall.(proc) + stall;
-          t.clock.(proc) <- t.clock.(from)
-        end);
-  }
+(* A contended lock hands over no earlier than its release. *)
+let lock_grant t ~proc ~from =
+  if from >= 0 && t.clock.(from) > t.clock.(proc) then begin
+    let stall = t.clock.(from) - t.clock.(proc) in
+    t.sync_stall.(proc) <- t.sync_stall.(proc) + stall;
+    t.lock_stall.(proc) <- t.lock_stall.(proc) + stall;
+    t.clock.(proc) <- t.clock.(from)
+  end
+
+(* Lock waits cost nothing until the grant, and steals are scheduling
+   annotations whose deque traffic arrives as ordinary accesses. *)
+let event t packed =
+  let tag = Cell_event.packed_tag packed in
+  if tag = Cell_event.tag_work then begin
+    let proc = Cell_event.packed_proc packed in
+    t.clock.(proc) <-
+      t.clock.(proc) + (Cell_event.packed_amount packed * t.cfg.work_cpi)
+  end
+  else if tag = Cell_event.tag_barrier_arrive then
+    t.at_barrier.(Cell_event.packed_proc packed) <- true
+  else if tag = Cell_event.tag_barrier_release then barrier_release t
+  else if tag = Cell_event.tag_lock_grant then
+    lock_grant t ~proc:(Cell_event.packed_proc packed)
+      ~from:(Cell_event.packed_grant_from1 packed - 1)
 
 let finish t =
   let latest = Array.fold_left max 0 t.clock in
@@ -201,5 +214,3 @@ let finish t =
     lock_stall = Array.copy t.lock_stall;
     cache = Mpcache.counts t.cache;
   }
-
-let cache t = t.cache

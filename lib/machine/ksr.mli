@@ -6,8 +6,11 @@
     coherence unit, and remote miss latencies of 175 cycles within a ring
     and 600 cycles across rings (Section 4).
 
-    The model is driven by the interpreter's event stream.  Each processor
-    has its own cycle clock:
+    The model is driven by a recorded execution's packed event stream
+    under one layout ([Sim.machine_sim] walks it with
+    [Fs_replay.Replay.walk]): each reference arrives as a byte address
+    through {!access}, every other event still packed through {!event}.
+    Each processor has its own cycle clock:
 
     - computation advances the clock by [work_cpi] cycles per interpreter
       work unit;
@@ -59,10 +62,21 @@ type result = {
 
 type t
 
-val create : config -> t
-val listener : t -> Fs_trace.Listener.t
-val cache : t -> Fs_cache.Mpcache.t
-(** The embedded protocol simulator (for per-processor telemetry). *)
+val create : max_addr:int -> config -> t
+(** A model of the machine running one layout's arena of [max_addr]
+    bytes ({!Fs_layout.Layout.size}): the embedded cache and the
+    per-block service state are sized for it (and grow should a
+    reference land beyond it). *)
+
+val access : t -> proc:int -> write:bool -> addr:int -> unit
+(** One memory reference, costed from the embedded simulator's packed
+    outcome ({!Fs_cache.Mpcache.access_raw}). *)
+
+val event : t -> int -> unit
+(** One non-access event, packed as a {!Fs_trace.Cell_event}: work
+    advances the clock, barrier arrivals and releases align clocks, a
+    lock grant hands over from the releaser's clock.  Lock waits and
+    steals cost nothing of their own. *)
 
 val finish : t -> result
-(** Call after the interpreter run driving {!listener} has completed. *)
+(** Call after the last event has been delivered. *)

@@ -157,39 +157,6 @@ let histogram t ?(labels = []) ?help ?(buckets = default_buckets) name =
     (function Ihist h -> h | _ -> type_error name)
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter instrumentation                                         *)
-
-let listener t =
-  let proc_label p = [ ("proc", string_of_int p) ] in
-  {
-    Fs_trace.Listener.access =
-      (fun ~proc ~write ~addr:_ ->
-        Counter.incr
-          (counter t
-             ~labels:(("kind", if write then "write" else "read") :: proc_label proc)
-             "interp_accesses"));
-    work =
-      (fun ~proc ~amount ->
-        Counter.add (counter t ~labels:(proc_label proc) "interp_work_units") amount);
-    barrier_arrive =
-      (fun ~proc ->
-        Counter.incr (counter t ~labels:(proc_label proc) "interp_barrier_arrivals"));
-    barrier_release =
-      (fun () -> Counter.incr (counter t "interp_barrier_releases"));
-    lock_wait =
-      (fun ~proc ~addr:_ ->
-        Counter.incr (counter t ~labels:(proc_label proc) "interp_lock_waits"));
-    lock_grant =
-      (fun ~proc ~addr:_ ~from ->
-        Counter.incr
-          (counter t
-             ~labels:
-               (("contended", if from >= 0 then "true" else "false")
-                :: proc_label proc)
-             "interp_lock_grants"));
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Export                                                              *)
 
 let sorted_entries t =

@@ -2,9 +2,9 @@
 
     Every stage of the pipeline registers what it measures here — the
     interpreter its work units, barrier waits, and lock contention; the
-    cache simulator its per-processor misses, invalidations, and upgrades;
-    the KSR2 model its stall cycles — so a run's telemetry is one
-    structure, renderable as text or JSON.
+    cache simulator its per-processor misses, invalidations, and upgrades
+    — so a run's telemetry is one structure, renderable as text or
+    JSON.
 
     Metrics are identified by name plus a label set; asking twice for the
     same (name, labels) returns the same instrument.  Registries are
@@ -76,12 +76,6 @@ val histogram :
     because a dash or a leading digit would render an exposition no
     scraper accepts.
     @raise Invalid_argument on a name outside the grammar. *)
-
-val listener : t -> Fs_trace.Listener.t
-(** Instrument an interpreter run: counts work units and accesses per
-    processor, barrier arrivals and releases, lock waits and grants
-    (contended grants — those handed over by another processor — counted
-    separately). *)
 
 val to_json : t -> Json.t
 (** An array of metric objects

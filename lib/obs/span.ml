@@ -87,6 +87,15 @@ let timed ?attrs name f =
 let note key value =
   match Domain.DLS.get ambient with None -> () | Some t -> attr t key value
 
+let stage name ~events f =
+  match Domain.DLS.get ambient with
+  | None -> f ()
+  | Some t ->
+    with_ t name (fun () ->
+        let r = f () in
+        attr t "events" (string_of_int (events r));
+        r)
+
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
 
@@ -120,6 +129,39 @@ let to_json t =
        | kids -> [ ("children", Json.List (List.map build kids)) ])
   in
   Json.List (List.map build (children (-1)))
+
+let last t name = List.find_opt (fun sp -> sp.name = name) t.rev_spans
+
+let children t sp = children_of t sp.id
+
+let stage_events sp =
+  Option.value ~default:0
+    (Option.bind (List.assoc_opt "events" sp.attrs) int_of_string_opt)
+
+let stage_table t stages =
+  let total = List.fold_left (fun acc sp -> acc +. duration t sp) 0.0 stages in
+  let header = [ "phase"; "time"; "share"; "events" ] in
+  let body =
+    List.map
+      (fun sp ->
+        let secs = duration t sp and events = stage_events sp in
+        [ sp.name;
+          Printf.sprintf "%.1f ms" (secs *. 1000.0);
+          (if total > 0.0 then Fs_util.Table.pct (secs /. total) else "-");
+          (if events > 0 then string_of_int events else "-") ])
+      stages
+  in
+  Fs_util.Table.render ~header body
+
+let stages_to_json t stages =
+  Json.List
+    (List.map
+       (fun sp ->
+         Json.Obj
+           [ ("phase", Json.String sp.name);
+             ("seconds", Json.float (duration t sp));
+             ("events", Json.Int (stage_events sp)) ])
+       stages)
 
 let human_bytes b =
   if b >= 1048576.0 then Printf.sprintf "%.1f MB" (b /. 1048576.0)

@@ -1,9 +1,8 @@
 (** Causal spans: nested start/stop timing with parent links, wall-clock
     and allocation deltas, and structured attributes.
 
-    Where {!Profile} answers "how long did each named phase take in
-    total", a span recorder keeps the {e tree}: which phase ran inside
-    which, in what order, with what arguments.  The pipeline, the
+    A span recorder keeps the {e tree} of a run: which phase ran inside
+    which, in what order, with what arguments, and how long each took.  The pipeline, the
     experiment drivers, the trace memo, the repair loop, and every CLI
     subcommand push spans into the ambient recorder; the result exports
     as an indented text tree, a nested JSON tree, or a Chrome-trace
@@ -65,6 +64,27 @@ val timed : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 
 val note : string -> string -> unit
 (** {!attr} on the ambient recorder; no-op when none is installed. *)
+
+val stage : string -> events:('a -> int) -> (unit -> 'a) -> 'a
+(** {!timed} for one pipeline stage: when the thunk returns, its event
+    count — a stage-defined unit of output (keys, actions, references),
+    derived from the result by [events] — is noted as the span's
+    ["events"] attribute, which {!stage_table} reads back. *)
+
+(** {1 Stage tables} *)
+
+val last : t -> string -> span option
+(** The most recently started span of that name. *)
+
+val children : t -> span -> span list
+(** A span's direct children, in start order. *)
+
+val stage_table : t -> span list -> string
+(** A text table over the given spans: phase, wall time, share of their
+    total, and ["events"] ("-" when absent or zero). *)
+
+val stages_to_json : t -> span list -> Json.t
+(** The same spans as [[{"phase", "seconds", "events"}]]. *)
 
 (** {1 Export} *)
 

@@ -1,8 +1,8 @@
 (** A timeline recorder for interpreter runs, exported as Chrome
     trace-event JSON (loadable in Perfetto or chrome://tracing).
 
-    The recorder is a {!Fs_trace.Listener.t}: attach it (possibly combined
-    with the cache or machine listener) to an [Interp.run] and it captures
+    The recorder is a {!Fs_trace.Listener.t}: replay a recorded trace
+    through it ([Fs_replay.Replay.replay]) and it captures
 
     - per-processor {b work segments} — one duration slice per batch of
       work units, annotated with the accesses issued since the previous

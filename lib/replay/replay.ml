@@ -1,7 +1,6 @@
 module Layout = Fs_layout.Layout
 module Cell_event = Fs_trace.Cell_event
 module Cell_trace = Fs_trace.Cell_trace
-module Cell_listener = Fs_trace.Cell_listener
 module Listener = Fs_trace.Listener
 module Mpcache = Fs_cache.Mpcache
 
@@ -32,49 +31,64 @@ let oracle layout ~vars =
     has_extra = Array.exists (fun ex -> Array.length ex > 0) extra;
   }
 
-let translating o (l : Listener.t) : Cell_listener.t =
-  {
-    access =
-      (fun ~proc ~write ~var ~cell ->
-        (* an indirection layout interposes a pointer cell: the read of the
-           pointer happens before the data reference it redirects *)
-        let extra = o.extra.(var) in
-        if Array.length extra > 0 && extra.(cell) >= 0 then
-          l.Listener.access ~proc ~write:false ~addr:extra.(cell);
-        l.Listener.access ~proc ~write ~addr:o.addr.(var).(cell));
-    work = l.Listener.work;
-    barrier_arrive = l.Listener.barrier_arrive;
-    barrier_release = l.Listener.barrier_release;
-    lock_wait =
-      (fun ~proc ~var ~cell ->
-        l.Listener.lock_wait ~proc ~addr:o.addr.(var).(cell));
-    lock_grant =
-      (fun ~proc ~var ~cell ~from ->
-        l.Listener.lock_grant ~proc ~addr:o.addr.(var).(cell) ~from);
-    (* steals are scheduling annotations, not memory traffic: they have
-       no address under any layout, so the translation drops them — the
-       deque traffic they caused is already in the stream as accesses *)
-    steal = (fun ~thief:_ ~victim:_ ~task:_ -> ());
-  }
-
 (* ------------------------------------------------------------------ *)
+(* The unfused walk: every event in order, each access mapped through
+   the oracle — an indirection layout interposes a pointer cell, and the
+   read of the pointer happens before the data reference it redirects. *)
 
-let replay trace ~layout ~listener =
+let walk_with o trace ~access ~other =
+  let addr = o.addr and extra = o.extra in
+  let data = Cell_trace.unsafe_data trace in
+  for i = 0 to Cell_trace.length trace - 1 do
+    let packed = Array.unsafe_get data i in
+    if Cell_event.packed_is_access packed then begin
+      let proc = Cell_event.packed_proc packed in
+      let var = Cell_event.packed_var packed in
+      let cell = Cell_event.packed_cell packed in
+      let ex = extra.(var) in
+      if Array.length ex > 0 && ex.(cell) >= 0 then
+        access ~proc ~write:false ~addr:ex.(cell);
+      access ~proc ~write:(Cell_event.packed_write packed) ~addr:addr.(var).(cell)
+    end
+    else other packed
+  done
+
+let walk trace ~layout ~access ~other =
+  walk_with (oracle layout ~vars:(Cell_trace.vars trace)) trace ~access ~other
+
+let replay trace ~layout ~listener:(l : Listener.t) =
   let o = oracle layout ~vars:(Cell_trace.vars trace) in
-  let cells = translating o listener in
-  Cell_trace.deliver trace cells
+  let other packed =
+    let tag = Cell_event.packed_tag packed in
+    let proc = Cell_event.packed_proc packed in
+    if tag = Cell_event.tag_work then
+      l.work ~proc ~amount:(Cell_event.packed_amount packed)
+    else if tag = Cell_event.tag_barrier_arrive then l.barrier_arrive ~proc
+    else if tag = Cell_event.tag_barrier_release then l.barrier_release ()
+    else if tag = Cell_event.tag_lock_wait then
+      l.lock_wait ~proc
+        ~addr:o.addr.(Cell_event.packed_var packed).(Cell_event.packed_cell packed)
+    else if tag = Cell_event.tag_lock_grant then
+      l.lock_grant ~proc
+        ~addr:
+          o.addr.(Cell_event.packed_var packed).(Cell_event.packed_grant_cell
+                                                   packed)
+        ~from:(Cell_event.packed_grant_from1 packed - 1)
+    (* steals are scheduling annotations, not memory traffic: they have
+       no address under any layout — the deque traffic they caused is
+       already in the stream as accesses *)
+  in
+  walk_with o trace ~access:l.access ~other
 
 let replay_to_sink trace ~layout ~sink =
-  replay trace ~layout ~listener:(Listener.of_sink sink)
+  walk trace ~layout ~access:sink ~other:ignore
 
 (* ------------------------------------------------------------------ *)
 (* The fused hot path: packed trace -> address oracle -> cache, with no
-   event unpacking, no listener dispatch, and no per-event allocation.
-   Only Access events reach the cache — exactly what the listener path
-   delivers through [Listener.of_sink], where every other hook is a
-   no-op — so the two paths produce identical counts, and identical
-   per-block, line and pair tables (property-tested over every
-   workload). *)
+   closure call and no per-event allocation.  Only Access events reach
+   the cache — exactly what [replay_to_sink] delivers — so the two
+   paths produce identical counts, and identical per-block, line and
+   pair tables (property-tested over every workload). *)
 
 (* The one fused loop: events [lo, hi) of [data] into [cache].  Every
    fused replay — in-memory, streamed block by block, or cut into
@@ -159,6 +173,26 @@ let simulate ?flight trace ~layout ~cache =
   match flight with
   | None -> fused o cache data 0 n
   | Some flight -> simulate_recorded o data n ~cache ~flight
+
+(* Barrier-delimited epochs: the fused loop runs up to each
+   Barrier_release, then [epoch ~lo ~hi] sees the events [lo, hi) it
+   just retired; the tail after the last release is an epoch too. *)
+let simulate_epochs trace ~layout ~cache ~epoch =
+  let o = oracle layout ~vars:(Cell_trace.vars trace) in
+  let data = Cell_trace.unsafe_data trace in
+  let n = Cell_trace.length trace in
+  let lo = ref 0 in
+  for i = 0 to n - 1 do
+    if Cell_event.packed_tag (Array.unsafe_get data i)
+       = Cell_event.tag_barrier_release
+    then begin
+      fused o cache data !lo i;
+      epoch ~lo:!lo ~hi:i;
+      lo := i + 1
+    end
+  done;
+  fused o cache data !lo n;
+  epoch ~lo:!lo ~hi:n
 
 let simulate_stream stream ~layout ~cache =
   let o = oracle layout ~vars:(Cell_trace.Stream.vars stream) in

@@ -2,11 +2,16 @@
 
     The interpreter decides {e what} is accessed in {e which} order; a
     layout decides {e where} each cell lives.  This module is the second
-    half of that split: it routes a {!Fs_trace.Cell_trace} (or a live
-    cell-event stream) through a layout's address oracle, producing
-    exactly the address-level {!Fs_trace.Listener} stream the simulators
-    consume — including the pointer-load reads an indirection layout
+    half of that split: it routes a recorded {!Fs_trace.Cell_trace}
+    through a layout's address oracle — the one place cells become byte
+    addresses, including the pointer-load reads an indirection layout
     interposes, which exist only at replay time.
+
+    Every consumer reads the packed event stream.  The cache simulations
+    run the fused loop ({!simulate}, {!simulate_epochs},
+    {!simulate_stream}); the KSR2 model and the timeline export take the
+    unfused walk ({!walk}, {!replay}), which delivers one event at a
+    time.
 
     Replay is deterministic and order-preserving: one recorded trace
     replayed under two layouts yields two address streams over the same
@@ -18,29 +23,33 @@ val vars_of : Fs_ir.Ast.program -> string array
 (** Variable ids in declaration order — the id space of the interpreter's
     cell events and of recorded traces. *)
 
-type oracle
-
-val oracle : Fs_layout.Layout.t -> vars:string array -> oracle
-(** Resolve the per-variable address tables once.
-    @raise Invalid_argument when the layout lacks one of [vars]. *)
-
-val translating : oracle -> Fs_trace.Listener.t -> Fs_trace.Cell_listener.t
-(** The translation itself, usable both online (the interpreter's direct
-    path wires its cell stream straight into this) and offline (replay of
-    a recorded trace). *)
+val walk :
+  Fs_trace.Cell_trace.t ->
+  layout:Fs_layout.Layout.t ->
+  access:(proc:int -> write:bool -> addr:int -> unit) ->
+  other:(int -> unit) ->
+  unit
+(** The unfused walk, event for event: each access is mapped through the
+    layout's address oracle and delivered to [access] — an indirection layout's pointer
+    load first, as a read — and every other event reaches [other] still
+    packed (read it with {!Fs_trace.Cell_event}'s [packed_*]
+    extractors).  Allocation-free. *)
 
 val replay :
   Fs_trace.Cell_trace.t ->
   layout:Fs_layout.Layout.t ->
   listener:Fs_trace.Listener.t ->
   unit
-(** Replay a recorded trace through a layout, event for event. *)
+(** {!walk} with every event decoded onto the listener's hooks: lock
+    events carry their lock word's address; steals, which have none,
+    are dropped.  The reference path the fused loop is tested against. *)
 
 val replay_to_sink :
   Fs_trace.Cell_trace.t ->
   layout:Fs_layout.Layout.t ->
   sink:Fs_trace.Sink.t ->
   unit
+(** The accesses of {!walk} alone. *)
 
 val simulate :
   ?flight:Flight.t ->
@@ -51,7 +60,7 @@ val simulate :
 (** The fused simulator hot path: iterate the packed event stream
     directly, decode each access inline, map it through the oracle's flat
     arrays, and feed {!Fs_cache.Mpcache.touch} — no per-event variant
-    allocation and no listener dispatch.  Produces the same counts —
+    allocation and no closure call.  Produces the same counts —
     and, on a cache created with tracking flags, the same per-block,
     line and invalidation-pair tables — as
     [replay_to_sink _ ~sink:(Mpcache.sink cache)], the reference path;
@@ -62,6 +71,19 @@ val simulate :
     ring between chunks (live cumulative counts, wall offset, block of
     the most recent access).  Cache counts are identical with or without
     a recorder, and without one no sampling code runs at all. *)
+
+val simulate_epochs :
+  Fs_trace.Cell_trace.t ->
+  layout:Fs_layout.Layout.t ->
+  cache:Fs_cache.Mpcache.t ->
+  epoch:(lo:int -> hi:int -> unit) ->
+  unit
+(** {!simulate} cut at every [Barrier_release]: after the fused loop
+    retires the events [lo, hi) of an epoch, [epoch ~lo ~hi] runs, with
+    the cache's counters as of the epoch's end.  The events after the
+    last release form the final epoch, so a trace with [k] releases
+    makes [k + 1] calls.  Indices are into
+    {!Fs_trace.Cell_trace.unsafe_data}. *)
 
 val simulate_stream :
   Fs_trace.Cell_trace.Stream.t ->

@@ -198,9 +198,11 @@ let parse_params endpoint (req : Http.request) =
   let nprocs = int_field "nprocs" 12 in
   if nprocs < 1 || nprocs > max_nprocs then
     client_err "nprocs must be in 1..%d" max_nprocs;
-  let block = int_field "block" 128 in
-  if block < 4 || block > 4096 || block land (block - 1) <> 0 then
-    client_err "block must be a power of two in 4..4096";
+  let block =
+    match E.check_block (int_field "block" 128) with
+    | Ok b -> b
+    | Error m -> client_err "%s" m
+  in
   let layout =
     let default =
       (* the feedback-flavored endpoints default to the compiler's layout,

@@ -1,7 +1,7 @@
 (** Layout-free interpreter events.
 
-    Where {!Event} speaks in physical byte addresses, a cell event names
-    the abstract location — (variable id, scalar cell id) — leaving every
+    Where a replayed address stream speaks in physical byte addresses, a
+    cell event names the abstract location — (variable id, scalar cell id) — leaving every
     layout decision to replay time.  The variable id is the variable's
     index in the program's global-declaration order; a recorded
     {!Cell_trace} carries the id -> name table.
@@ -46,7 +46,8 @@ val pack_work : proc:int -> amount:int -> int
     Extractors over the packed int, for hot loops that cannot afford
     [unpack]'s per-event variant allocation.  [packed_proc] and
     [packed_var] are meaningful for every tag but [Barrier_release];
-    [packed_write] and [packed_cell] only when [packed_is_access]. *)
+    [packed_write] only when [packed_is_access], and [packed_cell] for
+    [Access] and [Lock_wait]. *)
 
 val tag_barrier_release : int
 (** The {!packed_tag} value of [Barrier_release] — the epoch cut the

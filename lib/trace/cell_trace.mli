@@ -29,8 +29,6 @@ val get : t -> int -> Cell_event.t
 
 val iter : (Cell_event.t -> unit) -> t -> unit
 val iter_packed : (int -> unit) -> t -> unit
-val deliver : t -> Cell_listener.t -> unit
-(** Re-deliver the recorded stream, in order. *)
 
 val unsafe_data : t -> int array
 (** The backing array of packed events.  Only indices

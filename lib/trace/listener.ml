@@ -16,33 +16,3 @@ let null =
     lock_wait = (fun ~proc:_ ~addr:_ -> ());
     lock_grant = (fun ~proc:_ ~addr:_ ~from:_ -> ());
   }
-
-let of_sink sink = { null with access = (fun ~proc ~write ~addr -> sink ~proc ~write ~addr) }
-
-let combine a b =
-  {
-    access =
-      (fun ~proc ~write ~addr ->
-        a.access ~proc ~write ~addr;
-        b.access ~proc ~write ~addr);
-    work =
-      (fun ~proc ~amount ->
-        a.work ~proc ~amount;
-        b.work ~proc ~amount);
-    barrier_arrive =
-      (fun ~proc ->
-        a.barrier_arrive ~proc;
-        b.barrier_arrive ~proc);
-    barrier_release =
-      (fun () ->
-        a.barrier_release ();
-        b.barrier_release ());
-    lock_wait =
-      (fun ~proc ~addr ->
-        a.lock_wait ~proc ~addr;
-        b.lock_wait ~proc ~addr);
-    lock_grant =
-      (fun ~proc ~addr ~from ->
-        a.lock_grant ~proc ~addr ~from;
-        b.lock_grant ~proc ~addr ~from);
-  }

@@ -1,11 +1,11 @@
-(** Execution listeners: the full event interface between the interpreter
-    and its consumers.
+(** Address-level execution listeners: every event of a recorded trace
+    under one layout, one closure call each.
 
-    A {!Sink.t} sees only memory references, which is all a cache simulator
-    needs.  The KSR2 timing model additionally needs synchronization events
-    (to align processor clocks at barriers and serialize at locks) and the
-    amount of computation between references (to charge CPU cycles), so the
-    interpreter reports through this richer interface. *)
+    {!Fs_replay.Replay.replay} delivers a recorded trace through this
+    interface, event for event, as the unfused reference walk.  The
+    production consumers (the cache simulations, the KSR2 model, the
+    epoch segmenter) read the packed {!Cell_event} stream directly; a
+    listener suits cold consumers such as the {!Fs_obs.Timeline} export. *)
 
 type t = {
   access : proc:int -> write:bool -> addr:int -> unit;
@@ -23,9 +23,4 @@ type t = {
 }
 
 val null : t
-
-val of_sink : Sink.t -> t
-(** Forward accesses to the sink; ignore everything else. *)
-
-val combine : t -> t -> t
-(** Deliver every event to both listeners, left first. *)
+(** Ignores every event. *)

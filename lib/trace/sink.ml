@@ -1,59 +1,1 @@
 type t = proc:int -> write:bool -> addr:int -> unit
-
-let null ~proc:_ ~write:_ ~addr:_ = ()
-
-let tee a b ~proc ~write ~addr =
-  a ~proc ~write ~addr;
-  b ~proc ~write ~addr
-
-module Counter = struct
-  type t = { mutable reads : int; mutable writes : int; per_proc : int array }
-
-  let create ~nprocs = { reads = 0; writes = 0; per_proc = Array.make nprocs 0 }
-
-  let sink t ~proc ~write ~addr:_ =
-    if write then t.writes <- t.writes + 1 else t.reads <- t.reads + 1;
-    t.per_proc.(proc) <- t.per_proc.(proc) + 1
-
-  let total t = t.reads + t.writes
-end
-
-module Capture = struct
-  (* Events packed into an int each: addr lsl 9 | proc lsl 1 | write.
-     Addresses in our simulations stay far below 2^53, so this is safe. *)
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = Array.make 1024 0; len = 0 }
-
-  let sink t ~proc ~write ~addr =
-    if t.len = Array.length t.data then begin
-      let bigger = Array.make (2 * t.len) 0 in
-      Array.blit t.data 0 bigger 0 t.len;
-      t.data <- bigger
-    end;
-    t.data.(t.len) <- (addr lsl 9) lor (proc lsl 1) lor (if write then 1 else 0);
-    t.len <- t.len + 1
-
-  let length t = t.len
-
-  let unpack packed =
-    { Event.proc = (packed lsr 1) land 0xff;
-      write = packed land 1 = 1;
-      addr = packed lsr 9 }
-
-  let get t i =
-    if i < 0 || i >= t.len then invalid_arg "Capture.get: out of range";
-    unpack t.data.(i)
-
-  let iter f t =
-    for i = 0 to t.len - 1 do
-      f (unpack t.data.(i))
-    done
-
-  let to_list t =
-    let acc = ref [] in
-    for i = t.len - 1 downto 0 do
-      acc := unpack t.data.(i) :: !acc
-    done;
-    !acc
-end

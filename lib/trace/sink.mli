@@ -1,40 +1,5 @@
-(** Trace consumers.
-
-    The interpreter pushes every reference into a sink as it executes, so
-    traces need never be materialized unless a consumer wants them. *)
+(** Address-level reference consumers: one call per memory reference,
+    in program order.  {!Fs_replay.Replay.replay_to_sink} feeds one from a
+    recorded trace under a layout. *)
 
 type t = proc:int -> write:bool -> addr:int -> unit
-
-val null : t
-(** Discards everything. *)
-
-val tee : t -> t -> t
-(** Feeds both sinks, left first. *)
-
-(** Reference counting. *)
-module Counter : sig
-  type sink := t
-
-  type t = {
-    mutable reads : int;
-    mutable writes : int;
-    per_proc : int array;  (** references per processor *)
-  }
-
-  val create : nprocs:int -> t
-  val sink : t -> sink
-  val total : t -> int
-end
-
-(** Full capture into growable arrays, for tests and offline analysis. *)
-module Capture : sig
-  type sink := t
-  type t
-
-  val create : unit -> t
-  val sink : t -> sink
-  val length : t -> int
-  val get : t -> int -> Event.t
-  val to_list : t -> Event.t list
-  val iter : (Event.t -> unit) -> t -> unit
-end

@@ -125,6 +125,36 @@ let test_counts_consistency =
       && C.misses c <= C.accesses c
       && c.C.cold >= 0 && c.C.repl >= 0 && c.C.true_sh >= 0 && c.C.false_sh >= 0)
 
+(* Against the independent reference protocol: random reference
+   sequences over small caches (so evictions happen) and several block
+   sizes, and the two simulators' totals agree field for field. *)
+let test_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun nprocs ->
+      oneofl [ 4; 8; 16; 32; 64 ] >>= fun block ->
+      int_range 1 4 >>= fun assoc ->
+      int_range 1 4 >>= fun sets ->
+      list_size (int_range 1 400)
+        (triple (int_bound (nprocs - 1)) bool (int_bound 255))
+      >|= fun ops ->
+      ({ C.nprocs; block; cache_bytes = block * assoc * sets; assoc }, ops))
+  in
+  let print ((cfg : C.config), ops) =
+    Printf.sprintf "P=%d block=%d bytes=%d assoc=%d, %d refs" cfg.nprocs
+      cfg.block cfg.cache_bytes cfg.assoc (List.length ops)
+  in
+  QCheck.Test.make ~name:"counts match the reference protocol" ~count:300
+    (QCheck.make gen ~print)
+    (fun (cfg, ops) ->
+      let t = C.create cfg and r = Legacy_cache.create cfg in
+      List.iter
+        (fun (proc, write, word) ->
+          C.touch t ~proc ~write ~addr:(4 * word);
+          Legacy_cache.sink r ~proc ~write ~addr:(4 * word))
+        ops;
+      C.counts t = Legacy_cache.counts r)
+
 let test_single_writer_no_sharing_misses =
   QCheck.Test.make ~name:"single processor never has sharing misses" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 300) (pair bool (int_range 0 255)))
@@ -347,6 +377,7 @@ let suite =
     Alcotest.test_case "provider" `Quick test_provider;
     QCheck_alcotest.to_alcotest test_counts_consistency;
     QCheck_alcotest.to_alcotest test_single_writer_no_sharing_misses;
+    QCheck_alcotest.to_alcotest test_matches_reference;
     Alcotest.test_case "per-block tracking" `Quick test_per_block_tracking;
     Alcotest.test_case "line tracking" `Quick test_line_tracking;
     Alcotest.test_case "shared words" `Quick test_shared_words;

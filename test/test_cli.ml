@@ -34,6 +34,42 @@ let test_procs_range () =
       ([ "trace"; "record"; "pverify"; "--procs=-1" ], "processor count -1 out of range");
       ([ "blame"; "pverify"; "-p"; "many" ], "invalid processor count") ]
 
+(* a usage error naming the flag, never an internal error *)
+let check_usage_errors cases =
+  List.iter
+    (fun (args, needle) ->
+      let code, text = run args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ ": usage error") 124 code;
+      Tutil.check_contains what text needle)
+    cases
+
+let test_block_range () =
+  check_usage_errors
+    [ ([ "sim"; "pverify"; "-p"; "4"; "-s"; "1"; "-b"; "100" ],
+       "block must be a power of two in 4..4096");
+      ([ "timeline"; "pverify"; "-p"; "4"; "-s"; "1"; "-b"; "24"; "-o"; "-" ],
+       "block must be a power of two in 4..4096");
+      ([ "hotspots"; "pverify"; "-p"; "4"; "-s"; "1"; "-b"; "6" ],
+       "block must be a power of two in 4..4096");
+      ([ "sim"; "pverify"; "-b"; "8192" ], "block must be a power of two") ]
+
+let test_scale_range () =
+  check_usage_errors
+    [ ([ "sim"; "pverify"; "-p"; "4"; "-s"; "0" ], "scale must be at least 1");
+      ([ "phases"; "pverify"; "--scale=-3" ], "scale must be at least 1") ]
+
+let test_flight_interval_range () =
+  check_usage_errors
+    [ ([ "profile"; "pverify"; "-p"; "4"; "-s"; "1"; "--flight-interval"; "0" ],
+       "flight interval must be at least 1") ]
+
+let test_block_events_range () =
+  check_usage_errors
+    [ ([ "trace"; "record"; "pverify"; "-p"; "4"; "-s"; "1"; "-o"; "-";
+         "--block-events"; "0" ],
+       "block events must be at least 1") ]
+
 let test_procs_upper_bound_runs () =
   let code, text = run [ "sim"; "pverify"; "-p"; "256"; "-s"; "1"; "--json" ] in
   Alcotest.(check int) "P=256 runs" 0 code;
@@ -126,6 +162,13 @@ let test_trace_replay_matches_sim () =
 let suite =
   [ Alcotest.test_case "--procs out of range is a usage error" `Quick test_procs_range;
     Alcotest.test_case "--procs 256 runs" `Quick test_procs_upper_bound_runs;
+    Alcotest.test_case "--block outside 4..4096 is a usage error" `Quick
+      test_block_range;
+    Alcotest.test_case "--scale below 1 is a usage error" `Quick test_scale_range;
+    Alcotest.test_case "--flight-interval below 1 is a usage error" `Quick
+      test_flight_interval_range;
+    Alcotest.test_case "--block-events below 1 is a usage error" `Quick
+      test_block_events_range;
     Alcotest.test_case "unrealizable plan is a plain error" `Quick
       test_unrealizable_plan;
     Alcotest.test_case "runtime error is a plain error" `Quick

@@ -166,8 +166,9 @@ let arbitrary_program =
 (* Properties                                                          *)
 
 let final_memory prog plan =
-  let layout = Layout.realize prog plan ~block:64 in
-  let r = Interp.run_to_sink prog ~nprocs ~layout ~sink:Fs_trace.Sink.null in
+  (* the plan must realize; the interpreter itself is layout-free *)
+  ignore (Layout.realize prog plan ~block:64 : Layout.t);
+  let r = Interp.run_packed prog ~nprocs ~sink:ignore in
   List.map
     (fun (name, _) ->
       let values = Hashtbl.find r.Interp.store name in

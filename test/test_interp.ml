@@ -6,14 +6,26 @@ module Interp = Fs_interp.Interp
 module Value = Fs_interp.Value
 module Layout = Fs_layout.Layout
 module Plan = Fs_layout.Plan
-module Sink = Fs_trace.Sink
 module Listener = Fs_trace.Listener
+module Replay = Fs_replay.Replay
 
+(* interpret once, then replay the trace's references under the plan's
+   layout into [sink] *)
 let run ?(nprocs = 1) ?(plan = []) ?(block = 64) prog ~sink =
-  let layout = Layout.realize prog plan ~block in
-  Interp.run_to_sink prog ~nprocs ~layout ~sink
+  let trace, r = Interp.record prog ~nprocs in
+  Replay.replay_to_sink trace ~layout:(Layout.realize prog plan ~block) ~sink;
+  r
 
-let run_quiet ?nprocs ?plan ?block prog = run ?nprocs ?plan ?block prog ~sink:Sink.null
+let run_quiet ?nprocs ?plan ?block prog =
+  run ?nprocs ?plan ?block prog ~sink:(fun ~proc:_ ~write:_ ~addr:_ -> ())
+
+(* run, returning the replayed (proc, write, addr) stream *)
+let capture ?nprocs ?plan prog =
+  let acc = ref [] in
+  ignore
+    (run ?nprocs ?plan prog ~sink:(fun ~proc ~write ~addr ->
+         acc := (proc, write, addr) :: !acc));
+  List.rev !acc
 
 let int_of v = match v with Value.Vint n -> n | Value.Vfloat _ -> Alcotest.fail "float"
 
@@ -196,12 +208,8 @@ let test_trace_determinism () =
           [ sfor "k" (i 0) (i 10) [ (v "a").%((p "k" +% pdv) %% i 16) <-- p "k" ];
             lock (v "l"); bump (v "t") (i 1); unlock (v "l") ] ]
   in
-  let capture () =
-    let c = Sink.Capture.create () in
-    ignore (run ~nprocs:6 p ~sink:(Sink.Capture.sink c));
-    Sink.Capture.to_list c
-  in
-  Alcotest.(check int) "same traces" 0 (compare (capture ()) (capture ()))
+  Alcotest.(check int) "same traces" 0
+    (compare (capture ~nprocs:6 p) (capture ~nprocs:6 p))
 
 let test_layout_changes_addresses_not_semantics () =
   let open Dsl in
@@ -228,11 +236,7 @@ let test_indirection_extra_loads () =
     dsl_prog ~structs [ ("n", arr (struct_t "s") 2) ]
       [ fn "main" [] [ (v "n").%(i 0).%{"f"}.%(pdv) <-- i 1 ] ]
   in
-  let count plan =
-    let c = Sink.Capture.create () in
-    ignore (run ~nprocs:2 ~plan p ~sink:(Sink.Capture.sink c));
-    Sink.Capture.length c
-  in
+  let count plan = List.length (capture ~nprocs:2 ~plan p) in
   let direct = count [] in
   let indirect = count [ Plan.Indirect { var = "n"; fields = [ "f" ] } ] in
   (* each field access now carries one extra pointer load *)
@@ -258,10 +262,7 @@ let test_nontermination_guard () =
     dsl_prog [ ("x", int_t) ]
       [ fn "main" [] [ swhile (i 1) [ (v "x") <-- i 1 ] ] ]
   in
-  let layout = Layout.default p ~block:64 in
-  match
-    Interp.run ~max_steps:10_000 p ~nprocs:1 ~layout ~listener:Listener.null
-  with
+  match Interp.run_packed ~max_steps:10_000 p ~nprocs:1 ~sink:ignore with
   | _ -> Alcotest.fail "expected nontermination guard"
   | exception Interp.Nontermination _ -> ()
 
@@ -281,8 +282,8 @@ let test_listener_events () =
       work = (fun ~proc:_ ~amount -> work := !work + amount);
     }
   in
-  let layout = Layout.default p ~block:64 in
-  let _ = Interp.run p ~nprocs:3 ~layout ~listener in
+  let trace, _ = Interp.record p ~nprocs:3 in
+  Replay.replay trace ~layout:(Layout.default p ~block:64) ~listener;
   Alcotest.(check int) "three grants" 3 !grants;
   Alcotest.(check bool) "some contention" true (!waits >= 1);
   Alcotest.(check int) "one release" 1 !releases;

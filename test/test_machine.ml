@@ -2,16 +2,15 @@
 
 open Fs_ir
 module Ksr = Fs_machine.Ksr
+module C = Fs_cache.Mpcache
 module Layout = Fs_layout.Layout
-module Interp = Fs_interp.Interp
 module Plan = Fs_layout.Plan
+module Sim = Falseshare.Sim
+module W = Fs_workloads.Workload
+module Ws = Fs_workloads.Workloads
 
 let run ?config ?(plan = []) prog ~nprocs =
-  let config = match config with Some c -> c | None -> Ksr.default_config ~nprocs in
-  let layout = Layout.realize prog plan ~block:config.Ksr.block in
-  let m = Ksr.create config in
-  let _ = Interp.run prog ~nprocs ~layout ~listener:(Ksr.listener m) in
-  Ksr.finish m
+  (Sim.machine_sim ?config prog plan ~nprocs).Sim.machine
 
 let dsl_prog globals funcs =
   Validate.validate_exn (Dsl.program ~name:"t" ~globals funcs)
@@ -116,6 +115,69 @@ let test_cross_ring_latency () =
   Alcotest.(check bool) "config sane" true
     (cfg.Ksr.cross_ring_latency > cfg.Ksr.same_ring_latency)
 
+(* The full result of every static workload x N/C/P, against the table
+   pinned before the model moved onto the packed trace. *)
+let test_pinned () =
+  List.iter
+    (fun (row : Ksr_pinned.row) ->
+      let w = Ws.find row.name in
+      let version =
+        match row.version with "N" -> W.N | "C" -> W.C | _ -> W.P
+      in
+      let prog = w.W.build ~nprocs:row.nprocs ~scale:row.scale in
+      let plan =
+        Falseshare.Experiments.checked_plan_for w version prog
+          ~nprocs:row.nprocs ~scale:row.scale
+      in
+      let r = run ~plan prog ~nprocs:row.nprocs in
+      let what field =
+        Printf.sprintf "%s/%s P=%d %s" row.name row.version row.nprocs field
+      in
+      let c = r.Ksr.cache in
+      Alcotest.(check int) (what "cycles") row.cycles r.Ksr.cycles;
+      Alcotest.(check (array int)) (what "per_proc") row.per_proc r.Ksr.per_proc;
+      Alcotest.(check (array int)) (what "mem_stall") row.mem_stall r.Ksr.mem_stall;
+      Alcotest.(check (array int)) (what "sync_stall") row.sync_stall
+        r.Ksr.sync_stall;
+      Alcotest.(check (array int)) (what "lock_stall") row.lock_stall
+        r.Ksr.lock_stall;
+      Alcotest.(check (array int)) (what "cache") row.cache
+        [| c.C.reads; c.writes; c.cold; c.repl; c.true_sh; c.false_sh;
+           c.invalidations; c.upgrades |])
+    Ksr_pinned.table
+
+(* The cache embedded in the model counts what the independent reference
+   protocol counts on the same address stream, for every static workload
+   x N/C/P. *)
+let test_embedded_cache_vs_reference () =
+  let nprocs = 4 and scale = 1 in
+  let kc = Ksr.default_config ~nprocs in
+  List.iter
+    (fun (w : W.t) ->
+      let prog = w.build ~nprocs ~scale in
+      let recorded = Sim.record prog ~nprocs in
+      List.iter
+        (fun version ->
+          let plan =
+            Falseshare.Experiments.checked_plan_for w version prog ~nprocs ~scale
+          in
+          let r = (Sim.machine_sim ~recorded prog plan ~nprocs).Sim.machine in
+          let legacy =
+            Legacy_cache.create
+              { C.nprocs; block = kc.Ksr.block; cache_bytes = kc.Ksr.cache_bytes;
+                assoc = kc.Ksr.assoc }
+          in
+          Fs_replay.Replay.replay_to_sink recorded.Sim.trace
+            ~layout:(Layout.realize prog plan ~block:kc.Ksr.block)
+            ~sink:(Legacy_cache.sink legacy);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: embedded cache = reference" w.name
+               (W.version_to_string version))
+            true
+            (Legacy_cache.counts legacy = r.Ksr.cache))
+        (if List.mem W.N w.versions then w.versions else W.N :: w.versions))
+    Ws.all
+
 let suite =
   [ Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "compute scales" `Quick test_compute_scales;
@@ -124,4 +186,7 @@ let suite =
     Alcotest.test_case "barrier cost grows" `Quick test_barrier_cost_grows_with_procs;
     Alcotest.test_case "clock alignment" `Quick test_clock_alignment_at_barriers;
     Alcotest.test_case "lock handoff serializes" `Quick test_lock_handoff_serializes;
-    Alcotest.test_case "cross ring config" `Quick test_cross_ring_latency ]
+    Alcotest.test_case "cross ring config" `Quick test_cross_ring_latency;
+    Alcotest.test_case "pinned results (all workloads x N/C/P)" `Quick test_pinned;
+    Alcotest.test_case "embedded cache vs reference protocol" `Quick
+      test_embedded_cache_vs_reference ]

@@ -6,7 +6,7 @@
 open Fs_ir.Dsl
 module Json = Fs_obs.Json
 module Metrics = Fs_obs.Metrics
-module Profile = Fs_obs.Profile
+module Span = Fs_obs.Span
 module Timeline = Fs_obs.Timeline
 module Emit = Falseshare.Emit
 module Blame = Falseshare.Blame
@@ -145,27 +145,71 @@ let test_metrics_instruments () =
       entries
   | _ -> Alcotest.fail "metrics json not a non-empty array"
 
+(* The interpreter counters a pipeline run derives after the fact equal
+   what an event-by-event listener counts on the same replay: accesses
+   per kind and processor (pointer loads included), work, barrier
+   arrivals and releases, lock waits, contended and free grants — and
+   only counters that counted something are registered. *)
 let test_metrics_listener () =
-  let m = Metrics.create () in
-  let l = Metrics.listener m in
-  l.Fs_trace.Listener.access ~proc:0 ~write:true ~addr:0;
-  l.Fs_trace.Listener.access ~proc:0 ~write:false ~addr:4;
-  l.Fs_trace.Listener.access ~proc:0 ~write:false ~addr:8;
-  l.Fs_trace.Listener.work ~proc:1 ~amount:7;
-  l.Fs_trace.Listener.lock_grant ~proc:1 ~addr:0 ~from:(-1);
-  l.Fs_trace.Listener.lock_grant ~proc:1 ~addr:0 ~from:0;
-  let value name labels =
-    Metrics.Counter.value (Metrics.counter m ~labels name)
+  let nprocs = 4 and block = 64 in
+  let prog = fs_prog ~nprocs in
+  let r = Falseshare.Pipeline.run prog ~nprocs ~block in
+  let expected = Hashtbl.create 16 in
+  let bump name labels n =
+    let key = (name, labels) in
+    Hashtbl.replace expected key
+      (n + Option.value ~default:0 (Hashtbl.find_opt expected key))
   in
-  Alcotest.(check int) "reads" 2
-    (value "interp_accesses" [ ("kind", "read"); ("proc", "0") ]);
-  Alcotest.(check int) "writes" 1
-    (value "interp_accesses" [ ("kind", "write"); ("proc", "0") ]);
-  Alcotest.(check int) "work" 7 (value "interp_work_units" [ ("proc", "1") ]);
-  Alcotest.(check int) "uncontended grant" 1
-    (value "interp_lock_grants" [ ("contended", "false"); ("proc", "1") ]);
-  Alcotest.(check int) "contended grant" 1
-    (value "interp_lock_grants" [ ("contended", "true"); ("proc", "1") ])
+  let proc p = [ ("proc", string_of_int p) ] in
+  let listener =
+    { Fs_trace.Listener.access =
+        (fun ~proc:p ~write ~addr:_ ->
+          bump "interp_accesses"
+            (("kind", if write then "write" else "read") :: proc p) 1);
+      work = (fun ~proc:p ~amount -> bump "interp_work_units" (proc p) amount);
+      barrier_arrive = (fun ~proc:p -> bump "interp_barrier_arrivals" (proc p) 1);
+      barrier_release = (fun () -> bump "interp_barrier_releases" [] 1);
+      lock_wait = (fun ~proc:p ~addr:_ -> bump "interp_lock_waits" (proc p) 1);
+      lock_grant =
+        (fun ~proc:p ~addr:_ ~from ->
+          bump "interp_lock_grants"
+            (("contended", if from >= 0 then "true" else "false") :: proc p)
+            1) }
+  in
+  let trace, _ = Interp.record prog ~nprocs in
+  let plan = r.Falseshare.Pipeline.report.Fs_transform.Transform.plan in
+  Fs_replay.Replay.replay trace ~layout:(Layout.realize prog plan ~block)
+    ~listener;
+  let derived =
+    match Metrics.to_json r.metrics with
+    | Json.List entries ->
+      List.filter_map
+        (fun e ->
+          match Option.bind (Json.member "name" e) Json.get_string with
+          | Some name when String.starts_with ~prefix:"interp_" name ->
+            let labels =
+              match Json.member "labels" e with
+              | Some (Json.Obj kv) ->
+                List.map
+                  (fun (k, v) -> (k, Option.value ~default:"" (Json.get_string v)))
+                  kv
+              | _ -> []
+            in
+            Some ((name, labels), geti name e [ "value" ])
+          | _ -> None)
+        entries
+    | _ -> Alcotest.fail "metrics json not a list"
+  in
+  let listened =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) expected [] |> List.sort compare
+  in
+  Alcotest.(check bool) "some contention counted" true
+    (List.exists
+       (fun ((name, labels), _) ->
+         name = "interp_lock_grants" && List.mem ("contended", "true") labels)
+       listened);
+  Alcotest.(check bool) "derived counters = listener counts" true
+    (List.sort compare derived = listened)
 
 (* Prometheus exposition format escapes exactly backslash, double quote,
    and newline in label values; everything else (tabs, UTF-8) passes
@@ -421,28 +465,35 @@ let test_heatmap_edges () =
    | _ -> Alcotest.fail "unexpected all-zero shape")
 
 (* ------------------------------------------------------------------ *)
-(* Profile                                                             *)
+(* Profile: stage spans and their table                               *)
 
 let test_profile () =
-  let p = Profile.create () in
-  let r = Profile.time p "a" ~events:(fun x -> x) (fun () -> 3) in
+  let rec_ = Span.create () in
+  Span.set_current (Some rec_);
+  Fun.protect ~finally:(fun () -> Span.set_current None) @@ fun () ->
+  let r = Span.stage "a" ~events:(fun x -> x) (fun () -> 3) in
   Alcotest.(check int) "result passed through" 3 r;
-  ignore (Profile.time p "b" (fun () -> ()));
-  ignore (Profile.time p "a" ~events:(fun x -> x) (fun () -> 4));
-  (match Profile.entries p with
-   | [ ea; eb ] ->
-     Alcotest.(check string) "order" "a" ea.Profile.name;
-     Alcotest.(check int) "events accumulate" 7 ea.Profile.events;
-     Alcotest.(check int) "default events" 0 eb.Profile.events;
-     Alcotest.(check bool) "nonnegative time" true (ea.Profile.seconds >= 0.)
-   | es -> Alcotest.fail (Printf.sprintf "%d entries" (List.length es)));
-  (* a phase that raises is still recorded *)
-  (try ignore (Profile.time p "boom" (fun () -> failwith "x")) with Failure _ -> ());
-  Alcotest.(check int) "exn phase recorded" 3 (List.length (Profile.entries p));
-  let j = parse_ok "profile json" (Json.to_string (Profile.to_json p)) in
+  Span.stage "b" ~events:(fun () -> 0) (fun () -> ());
+  (* a stage that raises is still recorded *)
+  (try Span.stage "boom" ~events:(fun () -> 1) (fun () -> failwith "x")
+   with Failure _ -> ());
+  let stages = Span.spans rec_ in
+  Alcotest.(check (list string)) "order" [ "a"; "b"; "boom" ]
+    (List.map (fun (sp : Span.span) -> sp.name) stages);
+  Alcotest.(check bool) "last" true
+    (Option.map (fun (sp : Span.span) -> sp.id) (Span.last rec_ "b") = Some 1);
+  let table = Span.stage_table rec_ stages in
+  List.iter (Tutil.check_contains "stage table" table) [ "phase"; "a"; "boom" ];
+  let j = parse_ok "profile json" (Json.to_string (Span.stages_to_json rec_ stages)) in
   match Json.get_list j with
-  | Some entries -> Alcotest.(check int) "json entries" 3 (List.length entries)
-  | None -> Alcotest.fail "profile json not a list"
+  | Some [ a; b; boom ] ->
+    Alcotest.(check int) "events noted" 3 (geti "a" a [ "events" ]);
+    Alcotest.(check int) "zero events" 0 (geti "b" b [ "events" ]);
+    Alcotest.(check int) "no events on raise" 0 (geti "boom" boom [ "events" ]);
+    Alcotest.(check bool) "nonnegative time" true
+      (Option.bind (Json.member "seconds" a) Json.get_float
+       |> Option.fold ~none:false ~some:(fun s -> s >= 0.))
+  | _ -> Alcotest.fail "profile json: expected three entries"
 
 (* ------------------------------------------------------------------ *)
 (* Timeline: structurally valid Chrome trace JSON                      *)
@@ -452,7 +503,8 @@ let test_timeline () =
   let prog = fs_prog ~nprocs in
   let layout = Layout.realize prog [] ~block:64 in
   let tl = Timeline.create ~nprocs in
-  let _ = Interp.run prog ~nprocs ~layout ~listener:(Timeline.listener tl) in
+  let trace, _ = Interp.record prog ~nprocs in
+  Fs_replay.Replay.replay trace ~layout ~listener:(Timeline.listener tl);
   Alcotest.(check bool) "recorded events" true (Timeline.events tl > 0);
   let j = parse_ok "trace json" (Json.to_string (Timeline.to_json tl)) in
   let events =
@@ -675,13 +727,31 @@ let test_blame_agrees_with_attribution () =
 let test_pipeline () =
   let nprocs = 4 in
   let prog = fs_prog ~nprocs in
-  let r = Falseshare.Pipeline.run prog ~nprocs ~block:64 in
-  let names = List.map (fun e -> e.Profile.name) (Profile.entries r.Falseshare.Pipeline.profile) in
-  List.iter
-    (fun phase ->
-      if not (List.mem phase names) then Alcotest.fail ("missing phase " ^ phase))
+  let rec_ = Span.create () in
+  Span.set_current (Some rec_);
+  let r =
+    Fun.protect ~finally:(fun () -> Span.set_current None) (fun () ->
+        Falseshare.Pipeline.run prog ~nprocs ~block:64)
+  in
+  let stages =
+    match Span.last rec_ "pipeline" with
+    | Some sp -> Span.children rec_ sp
+    | None -> Alcotest.fail "no pipeline span"
+  in
+  Alcotest.(check (list string)) "stage spans"
     [ "pdv"; "non-concurrency"; "summary"; "transform"; "layout"; "interp";
-      "replay+cache" ];
+      "replay+cache" ]
+    (List.map (fun (sp : Span.span) -> sp.name) stages);
+  let events name =
+    match
+      List.find_opt (fun (sp : Span.span) -> sp.name = name) stages
+    with
+    | Some sp -> List.assoc_opt "events" sp.attrs
+    | None -> None
+  in
+  Alcotest.(check (option string)) "interp events are the accesses"
+    (Some (string_of_int (Array.fold_left ( + ) 0 r.cache.Sim.interp.Interp.accesses)))
+    (events "interp");
   (* metrics carry the cache's totals *)
   let total = ref 0 in
   for p = 0 to nprocs - 1 do
@@ -691,10 +761,7 @@ let test_pipeline () =
           (Metrics.counter r.metrics ~labels:[ ("proc", string_of_int p) ]
              "cache_accesses")
   done;
-  Alcotest.(check int) "metrics match cache" (C.accesses r.cache.Sim.counts) !total;
-  let j = parse_ok "pipeline json" (Json.to_string (Falseshare.Pipeline.to_json r)) in
-  Alcotest.(check bool) "has profile" true (Json.member "profile" j <> None);
-  Alcotest.(check bool) "has metrics" true (Json.member "metrics" j <> None)
+  Alcotest.(check int) "metrics match cache" (C.accesses r.cache.Sim.counts) !total
 
 (* ------------------------------------------------------------------ *)
 (* Edit distance (CLI suggestions)                                     *)

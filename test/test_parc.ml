@@ -78,10 +78,7 @@ void main() {
     Alcotest.(check int) "two funcs" 2 (List.length p.Fs_ir.Ast.funcs);
     Alcotest.(check int) "four globals" 4 (List.length p.Fs_ir.Ast.globals);
     (* and it actually runs *)
-    let layout = Fs_layout.Layout.default p ~block:64 in
-    let r =
-      Fs_interp.Interp.run_to_sink p ~nprocs:4 ~layout ~sink:Fs_trace.Sink.null
-    in
+    let r = Fs_interp.Interp.run_packed p ~nprocs:4 ~sink:ignore in
     (match Fs_interp.Interp.read_global r "a" 0 with
      | Fs_interp.Value.Vint 1 -> ()
      | v -> Alcotest.failf "a[0] = %a" Fs_interp.Value.pp v)

@@ -175,16 +175,17 @@ let test_hotlines_agree_with_per_block () =
     (List.length run.Sim.per_block)
     (List.length h.Hotlines.hot + h.Hotlines.dropped)
 
+(* the epochs of the pipeline's layout sum to the pipeline run's counts *)
 let test_pipeline_epochs () =
   let w = Ws.find "pverify" in
   let nprocs = w.W.fig3_procs in
   let prog = w.W.build ~nprocs ~scale:w.W.default_scale in
-  let r = Falseshare.Pipeline.run ~epochs:true prog ~nprocs ~block:128 in
-  match r.Falseshare.Pipeline.epochs with
-  | None -> Alcotest.fail "epochs requested but absent"
-  | Some es ->
-    Alcotest.(check bool) "epochs sum to the run's counts" true
-      (sum_epochs es = r.Falseshare.Pipeline.cache.Sim.counts)
+  let r = Falseshare.Pipeline.run prog ~nprocs ~block:128 in
+  let plan = r.Falseshare.Pipeline.report.Fs_transform.Transform.plan in
+  let p = Phases.analyze prog plan ~nprocs ~block:128 in
+  Alcotest.(check bool) "several epochs" true (List.length p.Phases.epochs > 1);
+  Alcotest.(check bool) "epochs sum to the run's counts" true
+    (sum_epochs p.Phases.epochs = r.Falseshare.Pipeline.cache.Sim.counts)
 
 let suite =
   [ Alcotest.test_case "epoch sums (all workloads x {16,128}B)" `Slow

@@ -39,9 +39,30 @@ let capture acc : Listener.t =
       (fun ~proc ~addr ~from -> acc := Lg (proc, addr, from) :: !acc);
   }
 
+(* The direct path: each event mapped as the interpreter emits it,
+   through the layout's own tables rather than Replay's oracle. *)
 let direct_stream prog ~nprocs ~layout =
   let acc = ref [] in
-  let _ = Interp.run prog ~nprocs ~layout ~listener:(capture acc) in
+  let push e = acc := e :: !acc in
+  let vars = Replay.vars_of prog in
+  let lookup var = Layout.lookup layout vars.(var) in
+  let addr var cell = (lookup var).Layout.addr.(cell) in
+  let _ =
+    Interp.run_packed prog ~nprocs ~sink:(fun packed ->
+        match Cell_event.unpack packed with
+        | Access { proc; write; var; cell } ->
+          let extra = (lookup var).Layout.extra in
+          if Array.length extra > 0 && extra.(cell) >= 0 then
+            push (A (proc, false, extra.(cell)));
+          push (A (proc, write, addr var cell))
+        | Work { proc; amount } -> push (Wk (proc, amount))
+        | Barrier_arrive { proc } -> push (Ba proc)
+        | Barrier_release -> push Br
+        | Lock_wait { proc; var; cell } -> push (Lw (proc, addr var cell))
+        | Lock_grant { proc; var; cell; from } ->
+          push (Lg (proc, addr var cell, from))
+        | Steal _ -> ())
+  in
   List.rev !acc
 
 let replay_stream trace ~layout =
@@ -156,6 +177,39 @@ let test_fused_equivalence () =
             [ 16; 128 ])
         [ W.N; W.C ])
     Ws.all
+
+(* The fused engine against the independent reference protocol
+   (bench/legacy_cache.ml): the same totals on every workload (dynamic
+   ones seeded), every version, at 16, 64 and 128 B. *)
+let test_fused_vs_reference () =
+  let nprocs = 4 and scale = 1 in
+  List.iter
+    (fun (w : W.t) ->
+      let prog = w.build ~nprocs ~scale in
+      let sched = if w.dynamic then Some (Fs_sched.Sched.seeded 5) else None in
+      let trace, _ = Interp.record ?sched prog ~nprocs in
+      List.iter
+        (fun version ->
+          let plan = E.plan_for w version prog ~nprocs ~scale in
+          List.iter
+            (fun block ->
+              let layout = Layout.realize prog plan ~block in
+              let cfg = Fs_cache.Mpcache.default_config ~nprocs ~block in
+              let fused =
+                Fs_cache.Mpcache.create ~max_addr:(Layout.size layout) cfg
+              in
+              Replay.simulate trace ~layout ~cache:fused;
+              let reference = Legacy_cache.create cfg in
+              Replay.replay_to_sink trace ~layout
+                ~sink:(Legacy_cache.sink reference);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s b=%d: fused = reference" w.name
+                   (W.version_to_string version) block)
+                true
+                (Fs_cache.Mpcache.counts fused = Legacy_cache.counts reference))
+            [ 16; 64; 128 ])
+        (if List.mem W.N w.versions then w.versions else W.N :: w.versions))
+    Ws.every
 
 (* The tracking tables Hotlines reads — a fused replay into a cache with
    ~track_blocks and ~track_lines — against the test-side oracle, which
@@ -598,6 +652,8 @@ let suite =
     Alcotest.test_case "fused engine count equivalence (all benchmarks)" `Quick
       test_fused_equivalence;
     Alcotest.test_case "fused engine growable arrays" `Quick test_fused_growth;
+    Alcotest.test_case "fused engine vs reference protocol (all workloads)"
+      `Quick test_fused_vs_reference;
     Alcotest.test_case "tracking tables match the oracle (all workloads)"
       `Quick test_tracking_oracle;
     Alcotest.test_case "streamed replay identity" `Quick

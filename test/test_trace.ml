@@ -1,118 +1,63 @@
-(* Tests for trace events, sinks, and listeners. *)
+(* Tests for the recorded cell-event trace: growth, and the printed form
+   of its events. *)
 
-module Sink = Fs_trace.Sink
-module Event = Fs_trace.Event
-module Listener = Fs_trace.Listener
+module Cell_event = Fs_trace.Cell_event
+module Cell_trace = Fs_trace.Cell_trace
 
-let test_counter () =
-  let c = Sink.Counter.create ~nprocs:3 in
-  let s = Sink.Counter.sink c in
-  s ~proc:0 ~write:true ~addr:0;
-  s ~proc:1 ~write:false ~addr:4;
-  s ~proc:1 ~write:false ~addr:8;
-  Alcotest.(check int) "writes" 1 c.Sink.Counter.writes;
-  Alcotest.(check int) "reads" 2 c.Sink.Counter.reads;
-  Alcotest.(check int) "total" 3 (Sink.Counter.total c);
-  Alcotest.(check int) "per proc" 2 c.Sink.Counter.per_proc.(1)
+let access k =
+  Cell_event.Access { proc = k mod 7; write = k land 1 = 1; var = k mod 3; cell = k }
 
+(* pushes past the initial capacity keep every event, in order *)
 let test_capture () =
-  let c = Sink.Capture.create () in
-  let s = Sink.Capture.sink c in
+  let t = Cell_trace.create ~vars:[| "a"; "b"; "c" |] ~nprocs:7 in
   for k = 0 to 4999 do
-    s ~proc:(k mod 7) ~write:(k land 1 = 1) ~addr:(k * 4)
+    Cell_trace.push t (Cell_event.pack (access k))
   done;
-  Alcotest.(check int) "length" 5000 (Sink.Capture.length c);
-  let e = Sink.Capture.get c 4999 in
-  Alcotest.(check int) "proc" (4999 mod 7) e.Event.proc;
-  Alcotest.(check bool) "write" true e.Event.write;
-  Alcotest.(check int) "addr" (4999 * 4) e.Event.addr;
-  Alcotest.(check int) "to_list length" 5000 (List.length (Sink.Capture.to_list c));
+  Alcotest.(check int) "length" 5000 (Cell_trace.length t);
+  Alcotest.(check bool) "last event" true (Cell_trace.get t 4999 = access 4999);
+  let n = ref 0 in
+  Cell_trace.iter
+    (fun e ->
+      if e <> access !n then Alcotest.failf "event %d differs" !n;
+      incr n)
+    t;
+  Alcotest.(check int) "iter visits all" 5000 !n;
   Alcotest.(check bool) "get out of range" true
-    (match Sink.Capture.get c 5000 with
+    (match Cell_trace.get t 5000 with
      | _ -> false
      | exception Invalid_argument _ -> true)
 
-let test_tee () =
-  let a = Sink.Counter.create ~nprocs:1 and b = Sink.Counter.create ~nprocs:1 in
-  let s = Sink.tee (Sink.Counter.sink a) (Sink.Counter.sink b) in
-  s ~proc:0 ~write:true ~addr:0;
-  Alcotest.(check int) "both fed" 2 (Sink.Counter.total a + Sink.Counter.total b)
-
-let test_listener_combine () =
-  let hits = ref 0 in
-  let l =
-    { Listener.null with access = (fun ~proc:_ ~write:_ ~addr:_ -> incr hits) }
-  in
-  let both = Listener.combine l l in
-  both.Listener.access ~proc:0 ~write:false ~addr:0;
-  Alcotest.(check int) "delivered twice" 2 !hits;
-  both.Listener.barrier_arrive ~proc:0;
-  both.Listener.barrier_release ();
-  both.Listener.work ~proc:0 ~amount:3;
-  both.Listener.lock_wait ~proc:0 ~addr:0;
-  both.Listener.lock_grant ~proc:0 ~addr:0 ~from:(-1)
-
-let test_of_sink () =
-  let c = Sink.Counter.create ~nprocs:1 in
-  let l = Listener.of_sink (Sink.Counter.sink c) in
-  l.Listener.access ~proc:0 ~write:true ~addr:4;
-  l.Listener.barrier_arrive ~proc:0;
-  Alcotest.(check int) "access forwarded" 1 (Sink.Counter.total c)
-
-let test_combine_order () =
-  (* combine must deliver to its first argument before its second, for
-     every event kind — the cache sink must see an access before the
-     metrics listener counts it *)
-  let order = ref [] in
-  let tagged tag =
-    { Listener.access = (fun ~proc:_ ~write:_ ~addr:_ -> order := tag :: !order);
-      work = (fun ~proc:_ ~amount:_ -> order := tag :: !order);
-      barrier_arrive = (fun ~proc:_ -> order := tag :: !order);
-      barrier_release = (fun () -> order := tag :: !order);
-      lock_wait = (fun ~proc:_ ~addr:_ -> order := tag :: !order);
-      lock_grant = (fun ~proc:_ ~addr:_ ~from:_ -> order := tag :: !order);
-    }
-  in
-  let both = Listener.combine (tagged "a") (tagged "b") in
-  both.Listener.access ~proc:0 ~write:false ~addr:0;
-  both.Listener.work ~proc:0 ~amount:1;
-  both.Listener.barrier_arrive ~proc:0;
-  both.Listener.barrier_release ();
-  both.Listener.lock_wait ~proc:0 ~addr:0;
-  both.Listener.lock_grant ~proc:0 ~addr:0 ~from:(-1);
-  Alcotest.(check (list string))
-    "first listener first, every kind"
-    [ "a"; "b"; "a"; "b"; "a"; "b"; "a"; "b"; "a"; "b"; "a"; "b" ]
-    (List.rev !order)
-
+(* every recorded access prints with Cell_event.pp in a form that parses
+   back to the same (proc, write, var, cell) *)
 let test_capture_pp_roundtrip () =
-  (* every captured event prints with Event.pp in a form that parses back
-     to the same (proc, write, addr) triple *)
-  let c = Sink.Capture.create () in
-  let s = Sink.Capture.sink c in
+  let t = Cell_trace.create ~vars:[| "x" |] ~nprocs:12 in
   List.iter
-    (fun (proc, write, addr) -> s ~proc ~write ~addr)
-    [ (0, false, 0); (3, true, 256); (11, false, 0xdeadbeef); (7, true, 4) ];
-  List.iter
-    (fun (e : Event.t) ->
-      let str = Format.asprintf "%a" Event.pp e in
-      let proc, rw, addr = Scanf.sscanf str "P%d %s 0x%x" (fun p s a -> (p, s, a)) in
-      Alcotest.(check int) "proc round-trips" e.Event.proc proc;
-      Alcotest.(check bool) "write round-trips" e.Event.write (rw = "W");
-      Alcotest.(check int) "addr round-trips" e.Event.addr addr)
-    (Sink.Capture.to_list c)
+    (fun (proc, write, var, cell) ->
+      Cell_trace.push t (Cell_event.pack (Access { proc; write; var; cell })))
+    [ (0, false, 0, 0); (3, true, 0, 256); (11, false, 0, 0xdeadbeef); (7, true, 0, 4) ];
+  Cell_trace.iter
+    (function
+      | Cell_event.Access { proc; write; var; cell } as e ->
+        let str = Format.asprintf "%a" Cell_event.pp e in
+        let p, rw, v, c =
+          Scanf.sscanf str "P%d %s v%d[%d]" (fun p s v c -> (p, s, v, c))
+        in
+        Alcotest.(check int) "proc round-trips" proc p;
+        Alcotest.(check bool) "write round-trips" write (rw = "W");
+        Alcotest.(check int) "var round-trips" var v;
+        Alcotest.(check int) "cell round-trips" cell c
+      | _ -> Alcotest.fail "only accesses were recorded")
+    t
 
 let test_event_pp () =
-  let s = Format.asprintf "%a" Event.pp { Event.proc = 3; write = true; addr = 256 } in
+  let s =
+    Format.asprintf "%a" Cell_event.pp
+      (Access { proc = 3; write = true; var = 1; cell = 256 })
+  in
   Tutil.check_contains "event pp" s "P3";
   Tutil.check_contains "event pp" s "W"
 
 let suite =
-  [ Alcotest.test_case "counter" `Quick test_counter;
-    Alcotest.test_case "capture growth" `Quick test_capture;
-    Alcotest.test_case "tee" `Quick test_tee;
-    Alcotest.test_case "listener combine" `Quick test_listener_combine;
-    Alcotest.test_case "combine delivery order" `Quick test_combine_order;
+  [ Alcotest.test_case "capture growth" `Quick test_capture;
     Alcotest.test_case "capture round-trip vs pp" `Quick test_capture_pp_roundtrip;
-    Alcotest.test_case "listener of_sink" `Quick test_of_sink;
     Alcotest.test_case "event pp" `Quick test_event_pp ]

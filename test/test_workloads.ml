@@ -25,8 +25,8 @@ let checksum_global (w : W.t) =
 
 let run_result (w : W.t) ~nprocs ~plan =
   let prog = w.build ~nprocs ~scale:1 in
-  let layout = Layout.realize prog plan ~block:64 in
-  let r = Interp.run_to_sink prog ~nprocs ~layout ~sink:Fs_trace.Sink.null in
+  ignore (Layout.realize prog plan ~block:64 : Layout.t);
+  let r = Interp.run_packed prog ~nprocs ~sink:ignore in
   Interp.read_global r (checksum_global w) 0
 
 let test_builds_and_validates () =
@@ -81,8 +81,9 @@ let test_layout_transparency () =
 let fs_counts (w : W.t) ~nprocs ~plan =
   let prog = w.build ~nprocs ~scale:w.default_scale in
   let cache = C.create (C.default_config ~nprocs ~block:128) in
-  let layout = Layout.realize prog plan ~block:128 in
-  let _ = Interp.run_to_sink prog ~nprocs ~layout ~sink:(C.sink cache) in
+  let trace, _ = Interp.record prog ~nprocs in
+  Fs_replay.Replay.simulate trace ~layout:(Layout.realize prog plan ~block:128)
+    ~cache;
   C.counts cache
 
 let test_compiler_reduces_false_sharing () =
