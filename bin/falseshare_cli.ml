@@ -27,71 +27,13 @@ module C = Fs_cache.Mpcache
 module W = Fs_workloads.Workload
 module Ws = Fs_workloads.Workloads
 module Json = Fs_obs.Json
-
-let wconv =
-  Arg.conv
-    ( (fun s ->
-        match Ws.find s with
-        | w -> Ok w
-        | exception Not_found ->
-          let names = List.map (fun w -> w.W.name) Ws.every in
-          let hint =
-            match Fs_util.Strdist.suggest s names with
-            | [] -> "run `falseshare list` for the benchmark suite"
-            | near ->
-              Printf.sprintf "did you mean %s?"
-                (String.concat " or " (List.map (Printf.sprintf "%S") near))
-          in
-          Error (`Msg (Printf.sprintf "unknown workload %S (%s)" s hint))),
-      fun fmt w -> Format.pp_print_string fmt w.W.name )
-
-let workload_arg =
-  Arg.(required & pos 0 (some wconv) None & info [] ~docv:"WORKLOAD")
-
-(* every trace event packs its processor id into 8 bits: refuse other
-   counts here as a usage error rather than deep inside a run *)
-let nprocs_conv =
-  let max = Fs_trace.Cell_event.max_proc + 1 in
-  Arg.conv
-    ( (fun s ->
-        match int_of_string_opt s with
-        | Some n when n >= 1 && n <= max -> Ok n
-        | Some n ->
-          Error (`Msg (Printf.sprintf "processor count %d out of range [1,%d]" n max))
-        | None -> Error (`Msg (Printf.sprintf "invalid processor count %S" s))),
-      Format.pp_print_int )
-
-let nprocs_arg =
-  Arg.(value & opt nprocs_conv 12 & info [ "p"; "procs" ] ~docv:"P" ~doc:"Processor count.")
-
-(* integers a run would only trip over deep inside: refuse them here,
-   as usage errors *)
-let checked_int_conv ~what check =
-  Arg.conv
-    ( (fun s ->
-        match int_of_string_opt s with
-        | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
-        | Some n -> Result.map_error (fun m -> `Msg m) (check n)),
-      Format.pp_print_int )
-
-let positive_conv what =
-  checked_int_conv ~what (fun n ->
-      if n >= 1 then Ok n else Error (Printf.sprintf "%s must be at least 1, got %d" what n))
-
-let scale_arg =
-  Arg.(value & opt (some (positive_conv "scale")) None
-       & info [ "s"; "scale" ] ~docv:"N" ~doc:"Problem scale.")
-
-let block_conv = checked_int_conv ~what:"block size" E.check_block
-
-let block_arg =
-  Arg.(value & opt block_conv 128
-       & info [ "b"; "block" ] ~docv:"BYTES"
-           ~doc:"Cache block size: a power of two in 4..4096.")
+module Q = Fs_query.Query
+module Qt = Fs_cli.Query_term
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of text.")
 
+(* an execution setting, not part of any query or its key *)
 let jobs_arg =
   Arg.(value
        & opt int (Fs_util.Par.default_jobs ())
@@ -100,36 +42,37 @@ let jobs_arg =
                  $(b,FALSESHARE_JOBS) environment variable, else the \
                  recommended domain count).")
 
-let layout_arg =
-  Arg.(value
-       & opt (enum [ ("unoptimized", `U); ("compiler", `C); ("programmer", `P) ]) `U
-       & info [ "layout" ] ~docv:"V"
-           ~doc:"Which layout: $(b,unoptimized), $(b,compiler), or $(b,programmer).")
+(* The workload, P, scale and scheduler of a command outside the query
+   layer, from the query field specs.  Without [seed] the command never
+   runs the program, so a dynamic workload needs none. *)
+type target = {
+  w : W.t;
+  nprocs : int;
+  scale : int;
+  sched : Fs_sched.Sched.config option;
+}
 
-let scale_of w = function Some s -> s | None -> w.W.default_scale
+let target ?(seed = true) () =
+  let make w nprocs scale s =
+    Qt.usage
+      (Result.map
+         (fun sched ->
+           { w; nprocs; scale = Option.value scale ~default:w.W.default_scale; sched })
+         (if seed then Q.sched w s else Ok None))
+  in
+  Term.(
+    ret
+      (const make $ Qt.value Q.F.workload $ Qt.value Q.F.nprocs
+      $ Qt.value Q.F.scale
+      $ if seed then Qt.value Q.F.sched_seed else const None))
 
-let sched_seed_arg =
-  Arg.(value & opt (some int) None
-       & info [ "sched-seed" ] ~docv:"SEED"
-           ~doc:"Seed for the deterministic work-stealing scheduler.  \
-                 Required by the dynamic (spawn/sync) workloads; the same \
-                 seed reproduces the same execution bit for bit.  Ignored \
-                 by the static suite.")
+let build t = t.w.W.build ~nprocs:t.nprocs ~scale:t.scale
 
-(* Dynamic workloads refuse to run without an explicit seed: a silent
-   default would make two people's "same" run diverge the moment one of
-   them is comparing against a seeded capture. *)
-let sched_of (w : W.t) = function
-  | Some s -> Some (Fs_sched.Sched.seeded s)
-  | None when not w.W.dynamic -> None
-  | None ->
-    Printf.eprintf
-      "falseshare: %s is a dynamic workload; its schedule is decided at \
-       run time by the work-stealing runtime, so pass --sched-seed SEED \
-       (there is no silent default: the seed pins the steal schedule and \
-       makes the run reproducible).\n"
-      w.W.name;
-    exit 2
+(* validated, like every plan: one that does not fit the program at
+   this configuration raises [Plan_error] naming the workload, version
+   and P *)
+let plan_of t layout prog =
+  E.checked_plan_for t.w (Q.version layout) prog ~nprocs:t.nprocs ~scale:t.scale
 
 (* For commands whose experiment drivers are defined over the static
    suite only (speedup sweeps, the paper reproductions). *)
@@ -160,6 +103,11 @@ let spans_out_arg =
        & info [ "spans-out" ] ~docv:"FILE"
            ~doc:"Write this run's causal span tree as nested JSON to \
                  $(docv) on exit.")
+
+(* a query error: one line, and the exit code the query layer assigns *)
+let fail ~cmd e =
+  Printf.eprintf "falseshare: %s: %s\n" cmd (Q.message Q.Cli e);
+  exit (Q.exit_code e)
 
 (* Every subcommand runs inside one telemetry scope: the process-global
    metrics registry fed by the domain pool's observer, an ambient span
@@ -196,15 +144,12 @@ let with_telemetry ~cmd ~metrics_out ~spans_out f =
   at_exit finish;
   match Fs_obs.Span.with_ recorder cmd f with
   | v -> finish (); v
-  | exception
-      (Fs_layout.Plan.Plan_error msg | Fs_interp.Interp.Runtime_error msg) ->
+  | exception e -> (
+    finish ();
     (* a plan that does not fit the program, or a program that fails at
        run time (a zero divisor, an index out of bounds), is the user's
        configuration, not an internal error *)
-    finish ();
-    Printf.eprintf "falseshare: %s: %s\n" cmd msg;
-    exit 1
-  | exception e -> finish (); raise e
+    match Q.error_of_exn e with Some err -> fail ~cmd err | None -> raise e)
 
 (* Wrap a subcommand term in the telemetry scope.  The inner term must
    evaluate to a thunk (each [run] takes a trailing [()]), so the
@@ -215,14 +160,6 @@ let telemetrize cmd_name thunk_term =
     with_telemetry ~cmd:cmd_name ~metrics_out ~spans_out thunk
   in
   Term.(const wrap $ metrics_out_arg $ spans_out_arg $ thunk_term)
-
-(* Every subcommand gets its plans here, validated: a plan that does not
-   fit the program at this configuration raises [Plan_error] naming the
-   workload, version and P, and [with_telemetry] reports it as a
-   one-line error. *)
-let plan_of w version prog ~nprocs ~scale =
-  let v = match version with `U -> W.N | `C -> W.C | `P -> W.P in
-  E.checked_plan_for w v prog ~nprocs ~scale
 
 (* The stages of the last [Pipeline.run] — the children of its
    "pipeline" span in the recorder [with_telemetry] installed — preceded
@@ -273,10 +210,9 @@ let list_cmd =
 (* --- report --- *)
 
 let report_cmd =
-  let run w nprocs scale block seed json () =
-    let sched = sched_of w seed in
-    let prog = w.W.build ~nprocs ~scale:(scale_of w scale) in
-    let r = Pipeline.run ?sched prog ~nprocs ~block in
+  let run t block json () =
+    let prog = build t in
+    let r = Pipeline.run ?sched:t.sched prog ~nprocs:t.nprocs ~block in
     let recorder, stages = pipeline_stages () in
     if json then
       print_json
@@ -296,80 +232,129 @@ let report_cmd =
          "Run the compile-time analysis and print its decisions, with a \
           wall-clock profile of every pipeline phase.")
     (telemetrize "report"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ sched_seed_arg $ json_arg))
+       Term.(const run $ target () $ Qt.value Q.F.block $ json_arg))
 
 (* --- source --- *)
 
 let source_cmd =
-  let run w nprocs scale json () =
-    let prog = w.W.build ~nprocs ~scale:(scale_of w scale) in
-    let src = Fs_ir.Pp.program_to_string prog in
+  let run t json () =
+    let src = Fs_ir.Pp.program_to_string (build t) in
     if json then
       print_json
-        (Json.Obj [ ("workload", Json.String w.W.name); ("source", Json.String src) ])
+        (Json.Obj [ ("workload", Json.String t.w.W.name); ("source", Json.String src) ])
     else print_string src
   in
   Cmd.v (Cmd.info "source" ~doc:"Print a benchmark's ParC source.")
-    (telemetrize "source"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ json_arg))
+    (telemetrize "source" Term.(const run $ target ~seed:false () $ json_arg))
 
-(* --- sim --- *)
+(* --- the queries: sim, blame, phases, hotlines, repair <w>, profile --- *)
 
-let sim_versions w prog ~nprocs ~scale =
-  List.map
-    (fun v ->
-      match v with
-      | W.N -> ("unoptimized", [])
-      | W.C -> ("compiler", plan_of w `C prog ~nprocs ~scale)
-      | W.P -> ("programmer", plan_of w `P prog ~nprocs ~scale))
-    (if List.mem W.N w.W.versions then w.W.versions else W.N :: w.W.versions)
+(* the text form of a query's answer; --json prints [Q.to_json] *)
+let render ~jobs = function
+  | Q.Sim_runs { runs; _ } ->
+    let header = [ "version"; "accesses"; "misses"; "false sharing"; "miss rate" ] in
+    Fs_util.Table.render ~header
+      (List.map
+         (fun (name, r) ->
+           let c = r.Sim.counts in
+           [ name;
+             string_of_int (C.accesses c);
+             string_of_int (C.misses c);
+             string_of_int c.C.false_sh;
+             Fs_util.Table.pct (C.miss_rate c) ])
+         runs)
+  | Q.Blame_report (b, phases) ->
+    Falseshare.Blame.render b
+    ^ Option.fold ~none:"" ~some:(fun p -> "\n" ^ Falseshare.Phases.render p) phases
+  | Q.Phase_profile p -> Falseshare.Phases.render p
+  | Q.Hot_lines h -> Falseshare.Hotlines.render h
+  | Q.Repair_trace r -> Fs_feedback.Repair.render r
+  | Q.Profile_report p ->
+    (* the span tree this very command grew, in the telemetry scope's
+       ambient recorder *)
+    let recorder = Option.get (Fs_obs.Span.current ()) in
+    Printf.sprintf
+      "profile: %s (P=%d, scale=%d, --jobs %d)\n\nspans:\n%s\n\
+       domain pool (block sweep):\n%s\n%s"
+      p.workload p.nprocs p.scale jobs (Fs_obs.Span.render recorder)
+      (Fs_util.Par.render_stats p.pool)
+      (Fs_replay.Flight.render p.flight)
+
+let run_query ~cmd ~jobs ~json q =
+  match Q.run ~jobs q with
+  | Error e -> fail ~cmd e
+  | Ok (Q.Profile_report _ as r) when json ->
+    (* the daemon's payload, plus this command's own span tree *)
+    let spans = Fs_obs.Span.to_json (Option.get (Fs_obs.Span.current ())) in
+    print_json
+      (match Q.to_json r with Json.Obj kv -> Json.Obj (kv @ [ ("spans", spans) ]) | j -> j)
+  | Ok r -> if json then print_json (Q.to_json r) else print_string (render ~jobs r)
+
+let query_cmd ?(jobs = false) kind cmd ~doc =
+  let run q jobs json () = run_query ~cmd ~jobs ~json q in
+  Cmd.v (Cmd.info cmd ~doc)
+    (telemetrize cmd
+       Term.(
+         const run $ Qt.query kind
+         $ (if jobs then jobs_arg else const 1)
+         $ json_arg))
 
 let sim_cmd =
-  let run w nprocs scale block seed jobs json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let versions = sim_versions w prog ~nprocs ~scale in
-    let recorded = Sim.record ?sched prog ~nprocs in
-    let runs =
-      Fs_util.Par.map ~jobs
-        (fun (name, plan) ->
-          (name, Sim.cache_sim ~recorded prog plan ~nprocs ~block))
-        versions
-    in
-    if json then print_json (Emit.sim ~workload:w.W.name ~nprocs ~block runs)
-    else begin
-      let header = [ "version"; "accesses"; "misses"; "false sharing"; "miss rate" ] in
-      let rows =
-        List.map
-          (fun (name, r) ->
-            let c = r.Sim.counts in
-            [ name;
-              string_of_int (C.accesses c);
-              string_of_int (C.misses c);
-              string_of_int c.C.false_sh;
-              Fs_util.Table.pct (C.miss_rate c) ])
-          runs
-      in
-      print_string (Fs_util.Table.render ~header rows)
-    end
-  in
-  Cmd.v
-    (Cmd.info "sim"
-       ~doc:
-         "Trace-driven cache simulation of a benchmark: the execution is \
-          interpreted once and replayed under each version's layout.")
-    (telemetrize "sim"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ sched_seed_arg $ jobs_arg $ json_arg))
+  query_cmd ~jobs:true `Analyze "sim"
+    ~doc:
+      "Trace-driven cache simulation of a benchmark: the execution is \
+       interpreted once and replayed under each version's layout."
+
+let blame_cmd =
+  query_cmd `Blame "blame"
+    ~doc:
+      "The false-sharing blame matrix: per shared variable, which \
+       processor's writes invalidate which processor's cached copies \
+       (split by upgrade vs. write miss), plus the hottest blocks with \
+       their owning variable and cell ranges."
+
+let phases_cmd =
+  query_cmd `Phases "phases"
+    ~doc:
+      "Phase-resolved sharing profile: split the replay into \
+       barrier-delimited epochs, report each epoch's miss-class \
+       counters and observed write-sharing, and cross-check the \
+       dynamic epochs against the static non-concurrency phases."
+
+let hotlines_cmd =
+  query_cmd `Hotlines "hotlines"
+    ~doc:
+      "Hot cache lines with their lifetimes: ownership migrations, \
+       ping-pong scores, invalidation chains, and word-level \
+       footprints, attributed to the owning variable with the \
+       transformation that would fix each line."
+
+let profile_cmd =
+  query_cmd ~jobs:true `Profile "profile"
+    ~doc:
+      "Profile one workload end to end: causal span tree of every \
+       pipeline stage, per-worker domain-pool summary of a cache-block \
+       sweep, and a flight-recorder digest of the fused replay hot \
+       loop."
 
 (* --- speedup --- *)
 
 let speedup_cmd =
+  (* each entry is a processor count, checked like [--procs] *)
   let procs_arg =
-    Arg.(value & opt (list int) [ 1; 2; 4; 8; 12; 16; 24; 32 ]
-         & info [ "procs-list" ] ~docv:"P,P,..." ~doc:"Processor counts to sweep.")
+    let entry = Qt.renamed [ "procs-list" ] Q.F.nprocs in
+    let check l =
+      Qt.usage
+        (List.fold_right
+           (fun s acc -> Result.bind (Q.parse entry (Q.Arg s)) (fun p -> Result.map (List.cons p) acc))
+           l (Ok []))
+    in
+    Term.(
+      ret
+        (const check
+        $ Arg.(value
+               & opt (list string) (List.map string_of_int [ 1; 2; 4; 8; 12; 16; 24; 32 ])
+               & info [ "procs-list" ] ~docv:"P,P,..." ~doc:"Processor counts to sweep.")))
   in
   let run w procs jobs json () =
     reject_dynamic ~cmd:"speedup" w;
@@ -380,18 +365,16 @@ let speedup_cmd =
   Cmd.v
     (Cmd.info "speedup" ~doc:"KSR2-model scalability curves for one benchmark.")
     (telemetrize "speedup"
-       Term.(const run $ workload_arg $ procs_arg $ jobs_arg $ json_arg))
+       Term.(const run $ Qt.value Q.F.workload $ procs_arg $ jobs_arg $ json_arg))
 
 (* --- hotspots --- *)
 
 let hotspots_cmd =
-  let run w nprocs scale block version seed json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
+  let run t block layout json () =
+    let prog = build t in
+    let plan = plan_of t layout prog in
     let rows =
-      Falseshare.Attribution.attribute ?sched prog plan ~nprocs ~block
+      Falseshare.Attribution.attribute ?sched:t.sched prog plan ~nprocs:t.nprocs ~block
     in
     if json then print_json (Emit.attribution rows)
     else print_string (Falseshare.Attribution.render rows)
@@ -402,141 +385,13 @@ let hotspots_cmd =
          "Attribute simulated misses back to the shared data structures — \
           the dynamic counterpart of the compiler's static report.")
     (telemetrize "hotspots"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ sched_seed_arg $ json_arg))
-
-(* --- blame --- *)
-
-let blame_cmd =
-  let top_arg =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~docv:"K" ~doc:"How many hot blocks to list.")
-  in
-  let epochs_arg =
-    Arg.(value & flag
-         & info [ "epochs" ]
-             ~doc:"Also segment the run at barrier releases and append the \
-                   per-epoch sharing profile.")
-  in
-  let run w nprocs scale block version top epochs seed json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let recorded = Sim.record ?sched prog ~nprocs in
-    let b = Falseshare.Blame.analyze ~top ~recorded prog plan ~nprocs ~block in
-    let ph =
-      if epochs then
-        Some (Falseshare.Phases.analyze ~recorded prog plan ~nprocs ~block)
-      else None
-    in
-    if json then
-      print_json
-        (match ph with
-         | None -> Emit.blame b
-         | Some p ->
-           Json.Obj [ ("blame", Emit.blame b); ("phases", Emit.phases p) ])
-    else begin
-      print_string (Falseshare.Blame.render b);
-      match ph with
-      | None -> ()
-      | Some p ->
-        print_newline ();
-        print_string (Falseshare.Phases.render p)
-    end
-  in
-  Cmd.v
-    (Cmd.info "blame"
-       ~doc:
-         "The false-sharing blame matrix: per shared variable, which \
-          processor's writes invalidate which processor's cached copies \
-          (split by upgrade vs. write miss), plus the hottest blocks with \
-          their owning variable and cell ranges.")
-    (telemetrize "blame"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ top_arg $ epochs_arg $ sched_seed_arg $ json_arg))
-
-(* --- phases --- *)
-
-let phases_cmd =
-  let run w nprocs scale block version seed json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let p = Falseshare.Phases.analyze ?sched prog plan ~nprocs ~block in
-    if json then print_json (Emit.phases p)
-    else print_string (Falseshare.Phases.render p)
-  in
-  Cmd.v
-    (Cmd.info "phases"
-       ~doc:
-         "Phase-resolved sharing profile: split the replay into \
-          barrier-delimited epochs, report each epoch's miss-class \
-          counters and observed write-sharing, and cross-check the \
-          dynamic epochs against the static non-concurrency phases.")
-    (telemetrize "phases"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ sched_seed_arg $ json_arg))
-
-(* --- hotlines --- *)
-
-let hotlines_cmd =
-  let top_arg =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~docv:"K" ~doc:"How many hot lines to list.")
-  in
-  (* unlike the other inspection commands, the interesting default here is
-     the compiler's layout: the lines that remain hot are exactly the ones
-     the static analysis could not fix *)
-  let layout_arg =
-    Arg.(value
-         & opt (enum [ ("unoptimized", `U); ("compiler", `C); ("programmer", `P) ]) `C
-         & info [ "layout" ] ~docv:"V"
-             ~doc:"Which layout: $(b,unoptimized), $(b,compiler) (default), \
-                   or $(b,programmer).")
-  in
-  let run w nprocs scale block version top seed json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let h = Falseshare.Hotlines.analyze ~top ?sched prog plan ~nprocs ~block in
-    if json then print_json (Emit.hotlines h)
-    else print_string (Falseshare.Hotlines.render h)
-  in
-  Cmd.v
-    (Cmd.info "hotlines"
-       ~doc:
-         "Hot cache lines with their lifetimes: ownership migrations, \
-          ping-pong scores, invalidation chains, and word-level \
-          footprints, attributed to the owning variable with the \
-          transformation that would fix each line.")
-    (telemetrize "hotlines"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ top_arg $ sched_seed_arg $ json_arg))
+       Term.(
+         const run $ target () $ Qt.value Q.F.block $ Qt.value Q.F.layout
+         $ json_arg))
 
 (* --- repair --- *)
 
 let repair_cmd =
-  let workload_opt_arg =
-    Arg.(value & pos 0 (some wconv) None & info [] ~docv:"WORKLOAD")
-  in
-  (* the natural starting point is the compiler's layout: repair is the
-     feedback pass that cleans up what the static analysis left behind *)
-  let layout_arg =
-    Arg.(value
-         & opt (enum [ ("unoptimized", `U); ("compiler", `C); ("programmer", `P) ]) `C
-         & info [ "layout" ] ~docv:"V"
-             ~doc:"Starting layout to refine: $(b,unoptimized), \
-                   $(b,compiler) (default), or $(b,programmer).")
-  in
-  let iters_arg =
-    Arg.(value
-         & opt int Fs_feedback.Repair.default_options.max_iters
-         & info [ "max-iters" ] ~docv:"N"
-             ~doc:"Cap on accepted repair iterations.")
-  in
   let stealing_arg =
     Arg.(value & flag
          & info [ "stealing" ]
@@ -546,27 +401,27 @@ let repair_cmd =
                    isolated in its own columns.  Use $(b,--sched-seed) to \
                    pick the steal schedule (default 42).")
   in
-  let run w nprocs scale block version max_iters seed stealing jobs json () =
-    match w with
-    | Some w ->
-      let sched = sched_of w seed in
-      let scale = scale_of w scale in
-      let prog = w.W.build ~nprocs ~scale in
-      let plan = plan_of w version prog ~nprocs ~scale in
-      let options = { Fs_feedback.Repair.default_options with max_iters } in
-      let r =
-        Fs_feedback.Repair.refine ~options ?sched prog plan ~nprocs ~block
-      in
-      if json then print_json (Fs_feedback.Repair.to_json r)
-      else print_string (Fs_feedback.Repair.render r)
-    | None when stealing ->
+  (* with a workload, the repair query; without one, the suite tables,
+     which take only the seed *)
+  let query_or_seed raws =
+    Qt.usage
+      (if List.mem_assoc "workload" raws then
+         Result.map Either.left (Q.of_fields `Repair raws)
+       else
+         Result.map Either.right
+           (Q.resolve Q.F.sched_seed None (List.assoc_opt "sched_seed" raws)))
+  in
+  let run query stealing jobs json () =
+    match query with
+    | Either.Left q -> run_query ~cmd:"repair" ~jobs ~json q
+    | Either.Right seed when stealing ->
       (* the dynamic family under the work-stealing scheduler *)
       let seed = Option.value seed ~default:42 in
       let rows = Fs_feedback.Repair_experiments.stealing_table ~seed ~jobs () in
       if json then
         print_json (Fs_feedback.Repair_experiments.stealing_to_json rows)
       else print_string (Fs_feedback.Repair_experiments.render_stealing rows)
-    | None ->
+    | Either.Right _ ->
       (* no workload: the suite-wide N/C/P/F comparison *)
       let rows = Fs_feedback.Repair_experiments.table ~jobs () in
       if json then print_json (Fs_feedback.Repair_experiments.to_json rows)
@@ -582,9 +437,10 @@ let repair_cmd =
           one, print the suite-wide N/C/P/F comparison (static suite by \
           default, the dynamic work-stealing family with $(b,--stealing)).")
     (telemetrize "repair"
-       Term.(const run $ workload_opt_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ iters_arg $ sched_seed_arg $ stealing_arg
-             $ jobs_arg $ json_arg))
+       Term.(
+         const run
+         $ ret (const query_or_seed $ Qt.raws ~required:false `Repair)
+         $ stealing_arg $ jobs_arg $ json_arg))
 
 (* --- timeline --- *)
 
@@ -594,14 +450,13 @@ let timeline_cmd =
          & info [ "o"; "output" ] ~docv:"FILE"
              ~doc:"Output file; \"-\" for stdout.  Default: <workload>.trace.json.")
   in
-  let run w nprocs scale block version seed out () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
+  let run t block version out () =
+    let nprocs = t.nprocs in
+    let prog = build t in
+    let plan = plan_of t version prog in
     let layout = Fs_layout.Layout.realize prog plan ~block in
     let tl = Fs_obs.Timeline.create ~nprocs in
-    let recorded = Sim.record ?sched prog ~nprocs in
+    let recorded = Sim.record ?sched:t.sched prog ~nprocs in
     (* a cache rides along so each barrier release can drop one sample of
        the epoch's miss-class deltas onto a Chrome-trace counter track *)
     let cache = C.create (C.default_config ~nprocs ~block) in
@@ -635,7 +490,7 @@ let timeline_cmd =
     match out with
     | Some "-" -> print_json (Fs_obs.Timeline.to_json tl)
     | out ->
-      let path = Option.value out ~default:(w.W.name ^ ".trace.json") in
+      let path = Option.value out ~default:(t.w.W.name ^ ".trace.json") in
       Fs_obs.Timeline.write_file tl path;
       Printf.printf
         "wrote %d trace events to %s (open in https://ui.perfetto.dev or \
@@ -649,8 +504,9 @@ let timeline_cmd =
           barrier waits, lock convoys — as Chrome trace-event JSON for \
           Perfetto.")
     (telemetrize "timeline"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ sched_seed_arg $ out_arg))
+       Term.(
+         const run $ target () $ Qt.value Q.F.block $ Qt.value Q.F.layout
+         $ out_arg))
 
 (* --- check (.parc sources) --- *)
 
@@ -659,8 +515,7 @@ let check_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.parc")
   in
   let procs_for_run =
-    Arg.(value & opt (some nprocs_conv) None
-         & info [ "run" ] ~docv:"P" ~doc:"Also execute with P processes.")
+    Qt.opt (Qt.renamed [ "run" ] ~doc:"Also execute with P processes." Q.F.nprocs)
   in
   let run file procs json () =
     let ic = open_in file in
@@ -717,93 +572,6 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Parse and validate a ParC source file.")
     (telemetrize "check" Term.(const run $ file_arg $ procs_for_run $ json_arg))
 
-(* --- profile --- *)
-
-let profile_cmd =
-  let interval_arg =
-    Arg.(value & opt (positive_conv "flight interval") 4096
-         & info [ "flight-interval" ] ~docv:"N"
-             ~doc:"Packed events between flight-recorder samples.")
-  in
-  let blocks = [ 8; 16; 32; 64; 128; 256 ] in
-  let run w nprocs scale seed jobs interval json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    (* the ambient recorder was installed by the telemetry scope; grab it
-       so the report can render the tree this very command grew *)
-    let recorder =
-      match Fs_obs.Span.current () with Some r -> r | None -> assert false
-    in
-    let prog =
-      Fs_obs.Span.timed "build" (fun () -> w.W.build ~nprocs ~scale)
-    in
-    let plan =
-      Fs_obs.Span.timed "plan" (fun () -> Sim.compiler_plan prog ~nprocs)
-    in
-    let recorded =
-      Fs_obs.Span.timed "record" (fun () -> Sim.record ?sched prog ~nprocs)
-    in
-    (* the block sweep exercises the domain pool; its stats become the
-       per-worker summary *)
-    let sweep, pool =
-      Fs_obs.Span.timed "block-sweep"
-        ~attrs:[ ("jobs", string_of_int jobs) ]
-        (fun () ->
-          Fs_util.Par.map_with_stats ~jobs
-            (fun block ->
-              (block, (Sim.cache_sim ~recorded prog plan ~nprocs ~block).Sim.counts))
-            blocks)
-    in
-    (* one flight-instrumented fused replay at the paper's block size *)
-    let flight = Fs_replay.Flight.create ~interval () in
-    let frun =
-      Fs_obs.Span.timed "flight-replay"
-        ~attrs:[ ("interval", string_of_int interval) ]
-        (fun () ->
-          Sim.cache_sim ~flight ~recorded prog plan ~nprocs ~block:128)
-    in
-    ignore frun;
-    if json then
-      print_json
-        (Json.Obj
-           [ ("workload", Json.String w.W.name);
-             ("nprocs", Json.Int nprocs);
-             ("scale", Json.Int scale);
-             ("spans", Fs_obs.Span.to_json recorder);
-             ("pool", Fs_obs.Pool.to_json pool);
-             ("flight", Fs_replay.Flight.to_json flight);
-             ("sweep",
-              Json.List
-                (List.map
-                   (fun (block, (c : C.counts)) ->
-                     Json.Obj
-                       [ ("block", Json.Int block);
-                         ("misses", Json.Int (C.misses c));
-                         ("false_sharing", Json.Int c.C.false_sh) ])
-                   sweep)) ])
-    else begin
-      Printf.printf "profile: %s (P=%d, scale=%d, --jobs %d)\n\n" w.W.name
-        nprocs scale jobs;
-      print_endline "spans:";
-      print_string (Fs_obs.Span.render recorder);
-      print_newline ();
-      print_endline "domain pool (block sweep):";
-      print_string (Fs_util.Par.render_stats pool);
-      print_newline ();
-      print_string (Fs_replay.Flight.render flight)
-    end
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Profile one workload end to end: causal span tree of every \
-          pipeline stage, per-worker domain-pool summary of a cache-block \
-          sweep, and a flight-recorder digest of the fused replay hot \
-          loop.")
-    (telemetrize "profile"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ sched_seed_arg
-             $ jobs_arg $ interval_arg $ json_arg))
-
 (* --- serve --- *)
 
 let serve_cmd =
@@ -814,14 +582,17 @@ let serve_cmd =
                    ephemeral port.")
   in
   let workers_arg =
-    Arg.(value & opt int Fs_serve.Server.default_config.workers
-         & info [ "workers" ] ~docv:"N" ~doc:"Worker threads draining the request queue.")
+    Qt.value
+      (Q.count ~name:"workers" ~flags:[ "workers" ] ~docv:"N"
+         ~doc:"Worker threads draining the request queue."
+         ~default:Fs_serve.Server.default_config.workers)
   in
   let queue_arg =
-    Arg.(value & opt int Fs_serve.Server.default_config.queue_capacity
-         & info [ "queue" ] ~docv:"N"
-             ~doc:"Admitted-request bound; beyond it the daemon answers \
-                   503 with Retry-After.")
+    Qt.value
+      (Q.count ~name:"queue" ~flags:[ "queue" ] ~docv:"N"
+         ~doc:"Admitted-request bound; beyond it the daemon answers 503 \
+               with Retry-After."
+         ~default:Fs_serve.Server.default_config.queue_capacity)
   in
   let cache_dir_arg =
     Arg.(value & opt string Fs_serve.Server.default_config.cache_dir
@@ -890,9 +661,9 @@ let trace_format_arg =
                  trailing epoch index; the default).")
 
 let block_events_arg =
-  Arg.(value & opt (positive_conv "block events") Ct.default_block_events
-       & info [ "block-events" ] ~docv:"N"
-           ~doc:"Events per v2 block (default 65536).")
+  Qt.value
+    (Q.count ~name:"block_events" ~flags:[ "block-events" ] ~docv:"N"
+       ~doc:"Events per v2 block." ~default:Ct.default_block_events)
 
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -941,10 +712,9 @@ let print_trace_stat ~heading path =
   | _ -> assert false
 
 let trace_record_cmd =
-  let run w nprocs scale seed out fmt block_events json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
+  let run t out fmt block_events json () =
+    let { w; nprocs; scale; sched } = t in
+    let prog = build t in
     let path = Option.value out ~default:(w.W.name ^ ".fstrace") in
     let t0 = Unix.gettimeofday () in
     (* stream straight to disk: the recording never materializes in
@@ -997,8 +767,9 @@ let trace_record_cmd =
           to disk (constant memory however long the run; use $(b,--scale) \
           to size it).")
     (telemetrize "trace-record"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ sched_seed_arg
-             $ trace_out_arg $ trace_format_arg $ block_events_arg $ json_arg))
+       Term.(
+         const run $ target () $ trace_out_arg $ trace_format_arg
+         $ block_events_arg $ json_arg))
 
 let trace_stat_cmd =
   let run path json () =
@@ -1066,15 +837,14 @@ let trace_convert_cmd =
              $ block_events_arg $ json_arg))
 
 let trace_replay_cmd =
-  let workload_pos1 =
-    Arg.(required & pos 1 (some wconv) None & info [] ~docv:"WORKLOAD")
-  in
   let run path w scale block version json () =
     let s = Ct.of_file_stream path in
     let nprocs = Ct.Stream.nprocs s in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
+    let t =
+      { w; nprocs; scale = Option.value scale ~default:w.W.default_scale; sched = None }
+    in
+    let prog = build t in
+    let plan = plan_of t version prog in
     let layout = Fs_layout.Layout.realize prog plan ~block in
     let cache =
       C.create ~max_addr:(Fs_layout.Layout.size layout)
@@ -1119,7 +889,7 @@ let trace_replay_cmd =
         "replayed %s through %s/%s: %d events in %.2fs (%.1f Mevents/s, \
          %.1f MB/s read)\n"
         path w.W.name
-        (match version with `U -> "unoptimized" | `C -> "compiler" | `P -> "programmer")
+        (Q.layout_name version)
         events dt
         (float_of_int events /. 1e6 /. Float.max 1e-9 dt)
         (float_of_int bytes /. mb /. Float.max 1e-9 dt);
@@ -1141,8 +911,10 @@ let trace_replay_cmd =
           comes from the trace; pass the same $(b,--scale) the recording \
           used.")
     (telemetrize "trace-replay"
-       Term.(const run $ trace_file_arg $ workload_pos1 $ scale_arg
-             $ block_arg $ layout_arg $ json_arg))
+       Term.(
+         const run $ trace_file_arg $ Qt.value ~at:1 Q.F.workload
+         $ Qt.value Q.F.scale $ Qt.value Q.F.block $ Qt.value Q.F.layout
+         $ json_arg))
 
 let trace_cmd =
   Cmd.group

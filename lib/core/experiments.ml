@@ -37,8 +37,7 @@ let plan_for (w : Workload.t) version prog ~nprocs ~scale =
           | Workload.P -> (
             match w.programmer_plan with
             | Some f -> f ~nprocs ~scale
-            | None ->
-              invalid_arg (w.name ^ " has no programmer-optimized version"))
+            | None -> raise (Plan.Plan_error "the workload has no programmer plan"))
           | Workload.N -> assert false
         in
         Mutex.protect plan_lock (fun () ->
@@ -50,10 +49,6 @@ let plan_for (w : Workload.t) version prog ~nprocs ~scale =
    caller's configuration, not an internal error, so the plan is
    validated here and its [Plan_error] re-raised naming the workload,
    the version and P — the one message the CLI and the daemon print. *)
-let check_block block =
-  if block >= 4 && block <= 4096 && block land (block - 1) = 0 then Ok block
-  else Error "block must be a power of two in 4..4096"
-
 let checked_plan_for (w : Workload.t) version prog ~nprocs ~scale =
   try
     let plan = plan_for w version prog ~nprocs ~scale in

@@ -14,7 +14,8 @@ val plan_for :
   Fs_layout.Plan.t
 (** The layout plan of a benchmark version: empty for N (and for a single
     process, where sharing cannot occur), the compiler's plan for C, the
-    hand-written plan for P.  Plans are memoized per
+    hand-written plan for P ([Plan_error] when the workload has none).
+    Plans are memoized per
     (workload, version, nprocs, scale); [prog] must be the workload's
     build at that configuration. *)
 
@@ -29,10 +30,6 @@ val checked_plan_for :
     raises [Fs_layout.Plan.Plan_error] with a one-line message naming
     the workload, the version and P, e.g.
     ["fmm, programmer plan at P=256: regroup of acc: ..."]. *)
-
-val check_block : int -> (int, string) result
-(** [Ok block] when [block] is a power of two in 4..4096 — the block
-    sizes the CLI and the daemon accept — else the message both report. *)
 
 val recorded_of : Trace_memo.entry -> Sim.recorded
 (** View a memoized trace as a replayable execution — the glue every

@@ -1,6 +1,4 @@
-module E = Falseshare.Experiments
-module Sim = Falseshare.Sim
-module Emit = Falseshare.Emit
+module Q = Fs_query.Query
 module Trace_memo = Falseshare.Trace_memo
 module W = Fs_workloads.Workload
 module Ws = Fs_workloads.Workloads
@@ -9,10 +7,10 @@ module Span = Fs_obs.Span
 module Metrics = Fs_obs.Metrics
 module Par = Fs_util.Par
 
-(* a client's fault: becomes a 400 with this message *)
-exception Client_error of string
+(* a failed query: answered with its status and message *)
+exception Failed of Q.error
 
-let client_err fmt = Printf.ksprintf (fun m -> raise (Client_error m)) fmt
+let client_err fmt = Printf.ksprintf (fun m -> raise (Failed (Q.usage_error m))) fmt
 
 type config = {
   port : int;
@@ -153,325 +151,6 @@ let sync_store_counters t =
       t.last_store <- cur)
 
 (* ------------------------------------------------------------------ *)
-(* Request parameters                                                  *)
-
-type params = {
-  pendpoint : string;
-  pprog : Fs_ir.Ast.program;
-  psource : string;  (** printed program text — the content that is addressed *)
-  pwname : string;
-  pworkload : W.t option;
-  pnprocs : int;
-  pscale : int;
-  pblock : int;
-  playout : string;
-  ptop : int;
-  pmax_iters : int;
-  psched_seed : int option;
-      (** required when the program spawns tasks; [None] otherwise *)
-}
-
-let parse_params endpoint (req : Http.request) =
-  let j =
-    match Json.of_string (if req.Http.body = "" then "{}" else req.Http.body) with
-    | Ok j -> j
-    | Error m -> client_err "request body is not JSON: %s" m
-  in
-  let int_field name default =
-    match Json.member name j with
-    | None -> default
-    | Some v -> (
-      match Json.get_int v with
-      | Some n -> n
-      | None -> client_err "field %S must be an integer" name)
-  in
-  let str_field name =
-    match Json.member name j with
-    | None -> None
-    | Some v -> (
-      match Json.get_string v with
-      | Some s -> Some s
-      | None -> client_err "field %S must be a string" name)
-  in
-  (* the CLI's range: trace events carry the processor id in 8 bits *)
-  let max_nprocs = Fs_trace.Cell_event.max_proc + 1 in
-  let nprocs = int_field "nprocs" 12 in
-  if nprocs < 1 || nprocs > max_nprocs then
-    client_err "nprocs must be in 1..%d" max_nprocs;
-  let block =
-    match E.check_block (int_field "block" 128) with
-    | Ok b -> b
-    | Error m -> client_err "%s" m
-  in
-  let layout =
-    let default =
-      (* the feedback-flavored endpoints default to the compiler's layout,
-         like their CLI counterparts *)
-      match endpoint with
-      | "hotlines" | "repair" | "profile" -> "compiler"
-      | _ -> "unoptimized"
-    in
-    match str_field "layout" with
-    | None -> default
-    | Some ("unoptimized" | "compiler" | "programmer" as l) -> l
-    | Some other ->
-      client_err
-        "unknown layout %S (expected unoptimized, compiler, or programmer)"
-        other
-  in
-  let top = int_field "top" 10 in
-  if top < 1 || top > 10_000 then client_err "top must be in 1..10000";
-  let max_iters =
-    int_field "max_iters" Fs_feedback.Repair.default_options.max_iters
-  in
-  if max_iters < 0 || max_iters > 100 then
-    client_err "max_iters must be in 0..100";
-  let sched_seed =
-    match Json.member "sched_seed" j with
-    | None -> None
-    | Some v -> (
-      match Json.get_int v with
-      | Some n -> Some n
-      | None -> client_err "field \"sched_seed\" must be an integer")
-  in
-  let workload, prog, scale, wname =
-    match (str_field "workload", str_field "source") with
-    | Some _, Some _ -> client_err "give either \"workload\" or \"source\", not both"
-    | Some name, None -> (
-      match Ws.find name with
-      | w ->
-        let scale = int_field "scale" w.W.default_scale in
-        if scale < 1 then client_err "scale must be positive";
-        (Some w, w.W.build ~nprocs ~scale, scale, w.W.name)
-      | exception Not_found ->
-        let names = List.map (fun w -> w.W.name) Ws.every in
-        let hint =
-          match Fs_util.Strdist.suggest name names with
-          | [] -> "GET /statusz lists the suite"
-          | near ->
-            Printf.sprintf "did you mean %s?"
-              (String.concat " or " (List.map (Printf.sprintf "%S") near))
-        in
-        client_err "unknown workload %S (%s)" name hint)
-    | None, Some src -> (
-      match Fs_parc.Parser.parse_and_validate src with
-      | Ok prog ->
-        (* a submitted source that spawns tasks gets the scheduler globals
-           grafted on here, like the registered dynamic workloads do in
-           their builders (instrument is the identity otherwise) *)
-        let prog = Fs_sched.Sched.instrument ~nprocs prog in
-        (None, prog, int_field "scale" 1, "<source>")
-      | Error errs -> client_err "source does not validate: %s" (String.concat "; " errs))
-    | None, None ->
-      client_err "body must name a \"workload\" or carry ParC \"source\""
-  in
-  (* dynamic executions refuse to run without an explicit seed — a silent
-     default would let two tenants' "same" request alias different steal
-     schedules the day the default changes *)
-  (match sched_seed with
-   | None when Fs_sched.Sched.uses_tasks prog ->
-     client_err
-       "program %S spawns tasks: the work-stealing schedule needs an \
-        explicit \"sched_seed\" (an integer; same seed, same execution)"
-       wname
-   | _ -> ());
-  {
-    pendpoint = endpoint;
-    pprog = prog;
-    psource = Fs_ir.Pp.program_to_string prog;
-    pwname = wname;
-    pworkload = workload;
-    pnprocs = nprocs;
-    pscale = scale;
-    pblock = block;
-    playout = layout;
-    ptop = top;
-    pmax_iters = max_iters;
-    psched_seed = sched_seed;
-  }
-
-(* every resolved parameter is part of the address: two requests whose
-   defaults resolve differently must never alias *)
-let cache_version = "falseshare-serve/2"
-
-(* the on-disk trace format feeds the memoized recordings every handler
-   replays, so it is part of the address too: a daemon restarted after a
-   format-default change must recompute, not alias the old entries *)
-let trace_format =
-  Printf.sprintf "tracefmt=%d"
-    (Fs_trace.Cell_trace.format_version Fs_trace.Cell_trace.default_format)
-
-let cache_key p =
-  Store.key
-    [
-      cache_version;
-      trace_format;
-      p.pendpoint;
-      p.pwname;
-      p.psource;
-      string_of_int p.pnprocs;
-      string_of_int p.pscale;
-      string_of_int p.pblock;
-      p.playout;
-      string_of_int p.ptop;
-      string_of_int p.pmax_iters;
-      (match p.psched_seed with
-       | None -> "seed=-"
-       | Some s -> Printf.sprintf "seed=%d" s);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Handlers: each returns the result payload as a JSON string           *)
-
-(* validated like the CLI's plans: one that does not fit the request's
-   configuration raises [Plan_error] with the CLI's one-line message,
-   which [handle_job] answers with a 400 *)
-let plan_for p w v =
-  E.checked_plan_for w v p.pprog ~nprocs:p.pnprocs ~scale:p.pscale
-
-let plan_of p =
-  match p.playout with
-  | "unoptimized" -> []
-  | "compiler" -> (
-    match p.pworkload with
-    | Some w -> plan_for p w W.C
-    | None -> Sim.compiler_plan p.pprog ~nprocs:p.pnprocs)
-  | "programmer" -> (
-    match p.pworkload with
-    | Some w when List.mem W.P w.W.versions -> plan_for p w W.P
-    | Some w -> client_err "workload %S has no programmer layout" w.W.name
-    | None -> client_err "a ParC source has no programmer layout")
-  | _ -> assert false
-
-let recorded_for p =
-  match p.pworkload with
-  | Some w ->
-    Span.timed "memo"
-      ~attrs:[ ("workload", w.W.name) ]
-      (fun () ->
-        E.recorded_of
-          (Trace_memo.get ?seed:p.psched_seed w ~nprocs:p.pnprocs
-             ~scale:p.pscale))
-  | None ->
-    let sched = Option.map Fs_sched.Sched.seeded p.psched_seed in
-    Span.timed "record" (fun () ->
-        Sim.record ?sched p.pprog ~nprocs:p.pnprocs)
-
-let versions_of p =
-  match p.pworkload with
-  | Some w ->
-    List.filter_map
-      (fun v ->
-        match v with
-        | W.N -> Some ("unoptimized", [])
-        | W.C -> Some ("compiler", plan_for p w W.C)
-        | W.P -> Some ("programmer", plan_for p w W.P))
-      (if List.mem W.N w.W.versions then w.W.versions else W.N :: w.W.versions)
-  | None ->
-    [ ("unoptimized", []);
-      ("compiler", Sim.compiler_plan p.pprog ~nprocs:p.pnprocs) ]
-
-let handle_analyze ~jobs p =
-  let versions = Span.timed "plan" (fun () -> versions_of p) in
-  let recorded = recorded_for p in
-  let runs =
-    Span.timed "replay"
-      ~attrs:[ ("versions", string_of_int (List.length versions)) ]
-      (fun () ->
-        Par.map ~jobs
-          (fun (name, plan) ->
-            ( name,
-              Sim.cache_sim ~recorded p.pprog plan ~nprocs:p.pnprocs
-                ~block:p.pblock ))
-          versions)
-  in
-  Emit.sim ~workload:p.pwname ~nprocs:p.pnprocs ~block:p.pblock runs
-
-let handle_blame p =
-  let plan = Span.timed "plan" (fun () -> plan_of p) in
-  let recorded = recorded_for p in
-  Emit.blame
-    (Span.timed "replay" (fun () ->
-         Falseshare.Blame.analyze ~top:p.ptop ~recorded p.pprog plan
-           ~nprocs:p.pnprocs ~block:p.pblock))
-
-let handle_phases p =
-  let plan = Span.timed "plan" (fun () -> plan_of p) in
-  let recorded = recorded_for p in
-  Emit.phases
-    (Span.timed "replay" (fun () ->
-         Falseshare.Phases.analyze ~recorded p.pprog plan ~nprocs:p.pnprocs
-           ~block:p.pblock))
-
-let handle_hotlines p =
-  let plan = Span.timed "plan" (fun () -> plan_of p) in
-  let recorded = recorded_for p in
-  Emit.hotlines
-    (Span.timed "replay" (fun () ->
-         Falseshare.Hotlines.analyze ~top:p.ptop ~recorded p.pprog plan
-           ~nprocs:p.pnprocs ~block:p.pblock))
-
-let handle_repair p =
-  let plan = Span.timed "plan" (fun () -> plan_of p) in
-  let recorded = recorded_for p in
-  let options =
-    { Fs_feedback.Repair.default_options with
-      max_iters = p.pmax_iters;
-      top = p.ptop }
-  in
-  Fs_feedback.Repair.to_json
-    (Span.timed "repair" (fun () ->
-         Fs_feedback.Repair.refine ~options ~recorded p.pprog plan
-           ~nprocs:p.pnprocs ~block:p.pblock))
-
-let profile_blocks = [ 8; 16; 32; 64; 128; 256 ]
-
-let handle_profile ~jobs p =
-  let plan = Span.timed "plan" (fun () -> plan_of p) in
-  let recorded = recorded_for p in
-  let sweep, pool =
-    Span.timed "replay"
-      ~attrs:[ ("jobs", string_of_int jobs) ]
-      (fun () ->
-        Par.map_with_stats ~jobs
-          (fun block ->
-            ( block,
-              (Sim.cache_sim ~recorded p.pprog plan ~nprocs:p.pnprocs ~block)
-                .Sim.counts ))
-          profile_blocks)
-  in
-  let module C = Fs_cache.Mpcache in
-  Json.Obj
-    [ ("workload", Json.String p.pwname);
-      ("nprocs", Json.Int p.pnprocs);
-      ("scale", Json.Int p.pscale);
-      ("layout", Json.String p.playout);
-      ("pool", Fs_obs.Pool.to_json pool);
-      ( "sweep",
-        Json.List
-          (List.map
-             (fun (block, (c : C.counts)) ->
-               Json.Obj
-                 [ ("block", Json.Int block);
-                   ("accesses", Json.Int (C.accesses c));
-                   ("misses", Json.Int (C.misses c));
-                   ("false_sharing", Json.Int c.C.false_sh) ])
-             sweep)) ]
-
-let compute ~jobs p =
-  let payload =
-    match p.pendpoint with
-    | "analyze" -> handle_analyze ~jobs p
-    | "blame" -> handle_blame p
-    | "phases" -> handle_phases p
-    | "hotlines" -> handle_hotlines p
-    | "repair" -> handle_repair p
-    | "profile" -> handle_profile ~jobs p
-    | ep -> client_err "unknown endpoint %S" ep
-  in
-  Json.to_string payload
-
-(* ------------------------------------------------------------------ *)
 (* The work path: singleflight -> store -> compute                      *)
 
 let store_find t recorder key =
@@ -493,14 +172,19 @@ let store_find t recorder key =
            | None -> "");
         None)
 
+let ok = function Ok v -> v | Error e -> raise (Failed e)
+
 (* returns (payload, served_from_store, coalesced) *)
-let run_query t recorder req endpoint =
-  let p =
+let run_query t recorder req kind =
+  let q =
     Span.with_ recorder "parse"
       ~attrs:[ ("bytes", string_of_int (String.length req.Http.body)) ]
-      (fun () -> parse_params endpoint req)
+      (fun () ->
+        match Json.of_string (if req.Http.body = "" then "{}" else req.Http.body) with
+        | Ok j -> ok (Q.of_json kind j)
+        | Error m -> client_err "request body is not JSON: %s" m)
   in
-  let key = cache_key p in
+  let key = Store.key [ Q.canonical q ] in
   Span.attr recorder "key" key;
   let (payload, from_store), role =
     Singleflight.run t.sf key (fun () ->
@@ -516,7 +200,8 @@ let run_query t recorder req endpoint =
                     Span.set_current (Some recorder);
                     Fun.protect
                       ~finally:(fun () -> Span.set_current None)
-                      (fun () -> compute ~jobs:t.cfg.jobs p)))
+                      (fun () ->
+                        Json.to_string (Q.to_json (ok (Q.run ~jobs:t.cfg.jobs q))))))
           in
           Span.with_ recorder "store.put" (fun () ->
               Store.put t.store key payload);
@@ -572,7 +257,9 @@ let handle_job t job =
             (Printf.sprintf "{\"slept\":%s}" (Json.to_string (Json.float s)),
              false, false)
           end
-          else run_query t recorder job.jreq job.jendpoint)
+          else
+            run_query t recorder job.jreq
+              (fst (List.find (fun (_, n) -> n = job.jendpoint) Q.kinds)))
     with
     | payload, cached, coalesced ->
       let elapsed = Unix.gettimeofday () -. job.jenq in
@@ -582,13 +269,8 @@ let handle_job t job =
           ~spans:(spans_json recorder job.jreq)
       in
       (200, body, cached, coalesced)
-    | exception Client_error m -> (400, json_error m, false, false)
+    | exception Failed e -> (Q.http_status e, json_error (Q.message Q.Http e), false, false)
     | exception Http.Bad_request m -> (400, json_error m, false, false)
-    | exception
-        (Fs_layout.Plan.Plan_error m | Fs_interp.Interp.Runtime_error m) ->
-      (* the plan does not fit the requested configuration, or the
-         program itself fails there *)
-      (400, json_error m, false, false)
     | exception e ->
       (500, json_error (Printf.sprintf "internal error: %s" (Printexc.to_string e)),
        false, false)
@@ -661,7 +343,7 @@ let statusz t =
                ("jobs", Json.Int t.cfg.jobs);
                ("cache_dir", Json.String (Store.dir t.store));
                ("cache_budget_bytes", Json.Int t.cfg.cache_budget_bytes);
-               ("cache_version", Json.String cache_version);
+               ("cache_version", Json.String Q.cache_version);
                ("trace_format",
                 Json.Int
                   (Fs_trace.Cell_trace.format_version
@@ -707,7 +389,7 @@ let statusz t =
 (* ------------------------------------------------------------------ *)
 (* Routing and the accept loop                                          *)
 
-let work_endpoints = [ "analyze"; "blame"; "hotlines"; "phases"; "repair"; "profile" ]
+let work_endpoints = List.map snd Q.kinds
 
 let initiate_stop t =
   Mutex.protect t.qlock (fun () ->

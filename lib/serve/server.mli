@@ -1,11 +1,19 @@
 (** The analysis daemon: [falseshare serve].
 
-    One process serves the whole toolchain over HTTP/JSON to any number
-    of tenants: POST a workload name or a ParC source to [/analyze],
-    [/blame], [/hotlines], [/phases], [/repair], or [/profile] and get
-    back the same JSON the CLI's [--json] mode prints, wrapped in an
-    envelope carrying the request id, cache/coalescing provenance, and
-    the request's causal span tree.
+    One process serves the toolchain's queries over HTTP/JSON to any
+    number of tenants: POST a JSON body to [/analyze], [/blame],
+    [/hotlines], [/phases], [/repair] or [/profile].  The body carries
+    the query's fields under the names {!Fs_query.Query.F} declares —
+    ["workload"] (or an inline ParC ["source"]), ["nprocs"], ["scale"],
+    ["block"], ["layout"], ["top"], ["max_iters"], ["epochs"] (blame),
+    ["flight_interval"] (profile) and ["sched_seed"] — with the CLI's
+    defaults, ranges and messages; members a query does not take are
+    ignored.  The [result] is exactly the record the matching CLI
+    subcommand prints with [--json] (except that [falseshare profile]
+    adds its own ["spans"]), wrapped in an envelope carrying the
+    request id, cache/coalescing provenance, and the request's causal
+    span tree.  Every query error is a 400 with the CLI's message, the
+    field spelled as the JSON member.
 
     {2 Anatomy}
 
@@ -24,12 +32,13 @@
     {2 Caching}
 
     Results are content-addressed in a {!Store} under the SHA-256 of
-    (endpoint × program text × every resolved parameter): a repeated
-    query is served from disk — no interpretation, no replay, and its
-    span tree shows the store probe where the computation would be.
-    Identical requests {e in flight} coalesce through {!Singleflight},
-    so N tenants asking the same question while it is being computed
-    cost one computation.
+    {!Fs_query.Query.canonical}: the resolved query (every field, its
+    default filled in), the program text and the trace format.  A
+    repeated query is served from disk — no interpretation, no replay,
+    and its span tree shows the store probe where the computation would
+    be.  Identical requests {e in flight} coalesce through
+    {!Singleflight}, so N tenants asking the same question while it is
+    being computed cost one computation.
 
     {2 Shutdown}
 

@@ -3,24 +3,10 @@
    workload cannot realize plain errors (exit 1), never internal errors;
    a replayed trace file must land on the in-memory counts. *)
 
-(* next to the test runner in the build tree, wherever it is run from *)
-let exe =
-  List.fold_left Filename.concat
-    (Filename.dirname Sys.executable_name)
-    [ Filename.parent_dir_name; "bin"; "falseshare_cli.exe" ]
-
-(* exit code and combined output of [exe args] *)
+(* exit code and combined output of the CLI run with [args] *)
 let run args =
-  let out = Filename.temp_file "fscli" ".out" in
-  let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out)
-  in
-  let code = Sys.command cmd in
-  let text = In_channel.with_open_bin out In_channel.input_all in
-  Sys.remove out;
-  (code, text)
+  let code, out, err = Tutil.run_cli args in
+  (code, out ^ err)
 
 let test_procs_range () =
   List.iter
@@ -63,6 +49,19 @@ let test_flight_interval_range () =
   check_usage_errors
     [ ([ "profile"; "pverify"; "-p"; "4"; "-s"; "1"; "--flight-interval"; "0" ],
        "flight interval must be at least 1") ]
+
+(* the query fields share the daemon's range rules and messages *)
+let test_query_ranges () =
+  check_usage_errors
+    [ ([ "blame"; "pverify"; "-p"; "4"; "-s"; "1"; "--top=-2" ], "top must be in 1..10000");
+      ([ "hotlines"; "pverify"; "-p"; "4"; "-s"; "1"; "--top=-3" ], "top must be in 1..10000");
+      ([ "repair"; "pverify"; "-p"; "4"; "-s"; "1"; "--max-iters=-1" ],
+       "max_iters must be in 0..100");
+      ([ "speedup"; "pverify"; "--procs-list"; "0" ], "processor count 0 out of range [1,256]");
+      (* refused before a daemon is started *)
+      ([ "serve"; "--workers"; "0" ], "workers must be at least 1");
+      ([ "serve"; "--queue"; "0" ], "queue must be at least 1");
+      ([ "sim"; "dstress"; "-p"; "4" ], "--sched-seed") ]
 
 let test_block_events_range () =
   check_usage_errors
@@ -174,4 +173,5 @@ let suite =
     Alcotest.test_case "runtime error is a plain error" `Quick
       test_runtime_error;
     Alcotest.test_case "trace replay counts equal sim" `Quick
-      test_trace_replay_matches_sim ]
+      test_trace_replay_matches_sim;
+    Alcotest.test_case "query field ranges are usage errors" `Quick test_query_ranges ]

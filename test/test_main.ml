@@ -18,6 +18,7 @@ let () =
       ("replay", Test_replay.suite);
       ("obs", Test_obs.suite);
       ("serve", Test_serve.suite);
+      ("query", Test_query.suite);
       ("telemetry", Test_telemetry.suite);
       ("phases", Test_phases.suite);
       ("sched", Test_sched.suite);

@@ -635,6 +635,63 @@ let test_server_backpressure () =
       Alcotest.(check string) "rejection counted" "1"
         (Tutil.find_sample "bp" samples "serve_rejected_total" []))
 
+(* ------------------------------------------------------------------ *)
+(* The daemon's result is the CLI's --json record                      *)
+
+(* what differs between two runs of the same query: wall-clock readings
+   and the domain pool's per-worker timings *)
+let wall_clock = [ "spans"; "pool"; "wall_s"; "mevents_per_s"; "peak_mevents_per_s" ]
+
+let rec strip_wall_clock = function
+  | Json.Obj kv ->
+    Json.Obj
+      (List.filter_map
+         (fun (k, v) -> if List.mem k wall_clock then None else Some (k, strip_wall_clock v))
+         kv)
+  | Json.List l -> Json.List (List.map strip_wall_clock l)
+  | j -> j
+
+(* each case: the CLI command, the endpoint, and the query's fields, which
+   both fronts take (the CLI as --flags, the daemon as a JSON body) *)
+let check_cli_parity cases =
+  let cache_dir = fresh_dir "parity" in
+  let t = Srv.start { Srv.default_config with workers = 1; jobs = 1; cache_dir } in
+  let port = Srv.port t in
+  Fun.protect
+    ~finally:(fun () -> Srv.stop t)
+    (fun () ->
+      List.iter
+        (fun (cmd, endpoint, workload, nprocs, scale) ->
+          let what = Printf.sprintf "%s %s -p %d -s %d" cmd workload nprocs scale in
+          let code, out, err =
+            Tutil.run_cli
+              [ cmd; workload; "-p"; string_of_int nprocs; "-s"; string_of_int scale; "--json" ]
+          in
+          Alcotest.(check int) (what ^ ": exit " ^ err) 0 code;
+          let body =
+            Printf.sprintf {|{"workload":%S,"nprocs":%d,"scale":%d}|} workload nprocs scale
+          in
+          let s, _, resp = Http.request ~port ~body ("/" ^ endpoint) in
+          Alcotest.(check int) (what ^ ": status") 200 s;
+          let result = Option.get (Json.member "result" (get_json what resp)) in
+          Alcotest.(check string) what
+            (Json.to_string (strip_wall_clock (get_json what out)))
+            (Json.to_string (strip_wall_clock result)))
+        cases)
+
+let test_server_cli_parity () =
+  check_cli_parity
+    (List.map
+       (fun (cmd, endpoint) -> (cmd, endpoint, "pverify", 4, 1))
+       [ ("sim", "analyze"); ("blame", "blame"); ("phases", "phases");
+         ("hotlines", "hotlines"); ("repair", "repair"); ("profile", "profile") ])
+
+(* /repair without "top" tracks as many lines as the CLI does: on
+   locusroute the fixpoint then reaches 48 false-sharing misses, not the
+   206 a 10-line budget stops at *)
+let test_server_repair_default_top () =
+  check_cli_parity [ ("repair", "repair", "locusroute", 8, 1) ]
+
 let test_server_quitquitquit () =
   let cache_dir = fresh_dir "quit" in
   let t = Srv.start { Srv.default_config with workers = 2; cache_dir } in
@@ -665,4 +722,7 @@ let suite =
     Alcotest.test_case "daemon unrealizable plan" `Quick test_server_unrealizable_plan;
     Alcotest.test_case "daemon runtime error" `Quick test_server_runtime_error;
     Alcotest.test_case "daemon backpressure" `Quick test_server_backpressure;
-    Alcotest.test_case "daemon quitquitquit" `Quick test_server_quitquitquit ]
+    Alcotest.test_case "daemon quitquitquit" `Quick test_server_quitquitquit;
+    Alcotest.test_case "daemon result equals CLI --json" `Quick test_server_cli_parity;
+    Alcotest.test_case "daemon /repair default top equals CLI" `Quick
+      test_server_repair_default_top ]

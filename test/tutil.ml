@@ -1,5 +1,25 @@
 (* Shared helpers for the test suites. *)
 
+(* the CLI, next to the test runner in the build tree wherever it is run
+   from (the test stanza depends on it) *)
+let cli_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "falseshare_cli.exe" ]
+
+(* exit code, stdout and stderr of [cli_exe args] *)
+let run_cli args =
+  let out = Filename.temp_file "fscli" ".out" and err = Filename.temp_file "fscli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli_exe)
+         (String.concat " " (List.map Filename.quote args))
+         (Filename.quote out) (Filename.quote err))
+  in
+  let read f = Fun.protect ~finally:(fun () -> Sys.remove f) (fun () -> In_channel.with_open_bin f In_channel.input_all) in
+  let o = read out in
+  (code, o, read err)
+
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   if nn = 0 then true
