@@ -8,14 +8,15 @@
    A single argument selects one piece:
      fig3 | table2 | fig4 | table3 | stats | exectime | replay | simspeed |
      tracefmt | tracefmt-decode | tracescale | telemetry | micro |
-     ablation | repair | stealing | phases | ksr
+     ablation | repair | stealing | phases | ksr | sparse_arena
    plus `quick`, which shrinks the processor sweep for a fast pass,
    `baseline`, which runs the quick pass and seeds bench/BASELINE.json,
    and `check`, which runs the quick pass and fails (exit 1) if any
    deterministic section drifted from the committed baseline, ran
    slower than the baseline by more than the tolerance factor
-   (`--tolerance F`, default 10), or a same-run timing ratio fell below
-   its floor (`ratio_floors`).  `--jobs N` sets the number of worker
+   (`--tolerance F`, default 10), a same-run timing ratio fell below
+   its floor (`ratio_floors`), or an allocation count rose above its
+   ceiling (`alloc_ceilings`).  `--jobs N` sets the number of worker
    domains for parallel replay (default: the FALSESHARE_JOBS environment
    variable, else the recommended domain count).
 
@@ -855,6 +856,62 @@ let ksr_bench () =
          ("fused_over_ksr", Json.float fused_over_ksr) ])
 
 (* ------------------------------------------------------------------ *)
+(* Sparse arena: cache state for a mostly padded layout                *)
+
+(* The words one fused replay allocates, cache creation included, when
+   the layout's arena is mostly padding: fib's result tree padded and
+   aligned element by element, the candidate repair tries for it.  The
+   count depends on the code alone, so the gate ceils it
+   (`alloc_ceilings`). *)
+let sparse_arena_bench () =
+  section "Sparse arena (fib P=8 s=10 seed 2, compiler plan + pad & align \
+           each element of tree, 128B)";
+  let t0 = Unix.gettimeofday () in
+  let nprocs = 8 and block = 128 in
+  let prog = (Ws.find "fib").W.build ~nprocs ~scale:10 in
+  let trace =
+    (Sim.record ~sched:(Fs_sched.Sched.seeded 2) prog ~nprocs).Sim.trace
+  in
+  let plan =
+    Plan.merge (Sim.compiler_plan prog ~nprocs)
+      [ Plan.Pad_align { var = "tree"; element = true } ]
+  in
+  let layout = Layout.realize prog plan ~block in
+  let config = C.default_config ~nprocs ~block in
+  let max_addr = Layout.size layout in
+  let create ?track_blocks () = C.create ?track_blocks ~max_addr config in
+  let replay cache = Fs_replay.Replay.simulate trace ~layout ~cache in
+  let touched =
+    let cache = create ~track_blocks:true () in
+    replay cache;
+    List.length (C.per_block cache)
+  in
+  let words f =
+    Gc.full_major ();
+    let a0 = Gc.allocated_bytes () in
+    let r = f () in
+    let a1 = Gc.allocated_bytes () in
+    (r, int_of_float ((a1 -. a0) /. float_of_int (Sys.word_size / 8)))
+  in
+  let cache, create_words = words create in
+  let (), replay_words = words (fun () -> replay cache) in
+  let arena = (max_addr + block - 1) / block in
+  let accesses = C.accesses (C.counts cache) in
+  Printf.printf
+    "arena %d blocks, %d touched, %d accesses\n\
+     words allocated: create %d, replay %d, together %d\n"
+    arena touched accesses create_words replay_words
+    (create_words + replay_words);
+  record "sparse_arena" ~seconds:(Unix.gettimeofday () -. t0)
+    (Json.Obj
+       [ ("arena_blocks", Json.Int arena);
+         ("touched_blocks", Json.Int touched);
+         ("accesses", Json.Int accesses);
+         ("create_words", Json.Int create_words);
+         ("replay_words", Json.Int replay_words);
+         ("words", Json.Int (create_words + replay_words)) ])
+
+(* ------------------------------------------------------------------ *)
 (* Serving: daemon latency over loopback, cold store vs warm           *)
 
 let percentile sorted q =
@@ -927,11 +984,12 @@ let serve_bench ~quick ~jobs () =
 (* ------------------------------------------------------------------ *)
 (* Regression gate: compare this run against the committed baseline    *)
 
-(* sections whose payloads are wall-clock measurements, not
-   deterministic experiment data *)
+(* sections whose payloads are wall-clock measurements or allocation
+   counts (which move with the compiler and its flags), not deterministic
+   experiment data *)
 let nondeterministic =
   [ "micro"; "replay"; "tracking_overhead"; "simspeed"; "telemetry-overhead";
-    "serve"; "tracefmt-decode"; "tracescale"; "ksr_cost" ]
+    "serve"; "tracefmt-decode"; "tracescale"; "ksr_cost"; "sparse_arena" ]
 
 (* Floors on same-run ratios inside wall-clock sections: (section, key,
    floor).  Two timings taken in one run share the host's speed, so
@@ -961,6 +1019,17 @@ let ratio_floors =
   [ ("tracefmt-decode", "v2_over_v1_decode", 0.07);
     ("tracking_overhead", "fused_over_tracked", 0.6);
     ("ksr_cost", "fused_over_ksr", 0.55) ]
+
+(* Ceilings on allocation counts: (section, key, ceiling).  A count of
+   allocated words does not jitter with the host, so the gate can hold it
+   tightly.
+
+   sparse_arena's words are what Mpcache.create plus one fused replay
+   allocate for fib P=8 s=10 under the padded-tree candidate (an arena
+   of 262,160 128 B blocks, 5,175 touched, 26,848 accesses).  With
+   protocol state sized by the arena it measured 25.97M words; with
+   state indexed by touched-block slot, 1.49M. *)
+let alloc_ceilings = [ ("sparse_arena", "words", 3_000_000) ]
 
 let baseline_path () =
   if Sys.file_exists "bench/BASELINE.json" then "bench/BASELINE.json"
@@ -1039,18 +1108,27 @@ let check_against_baseline ~tolerance =
       then
         fail "%s: produced by this run but missing from the baseline" name)
     current;
+  let datum name key get =
+    Option.bind (List.assoc_opt name current) (fun j ->
+        Option.bind (Json.member "data" j) (fun d ->
+            Option.bind (Json.member key d) get))
+  in
   List.iter
     (fun (name, key, floor) ->
-      match
-        Option.bind (List.assoc_opt name current) (fun j ->
-            Option.bind (Json.member "data" j) (fun d ->
-                Option.bind (Json.member key d) Json.get_float))
-      with
+      match datum name key Json.get_float with
       | None -> fail "%s: no %s in this run" name key
       | Some r when r < floor ->
         fail "%s: %s = %.3f, below the floor %.3f" name key r floor
       | Some r -> Printf.printf "%s: %s = %.3f (floor %.3f)\n" name key r floor)
     ratio_floors;
+  List.iter
+    (fun (name, key, ceiling) ->
+      match datum name key Json.get_int with
+      | None -> fail "%s: no %s in this run" name key
+      | Some n when n > ceiling ->
+        fail "%s: %s = %d, above the ceiling %d" name key n ceiling
+      | Some n -> Printf.printf "%s: %s = %d (ceiling %d)\n" name key n ceiling)
+    alloc_ceilings;
   match !failures with
   | [] ->
     Printf.printf "\nbench check: ok — %d section(s) match %s\n"
@@ -1195,6 +1273,7 @@ let () =
   if all || gate || pick = "stealing" then stealing_bench ~jobs ();
   if all || gate || pick = "phases" then phases_bench ();
   if all || gate || pick = "ksr" then ksr_bench ();
+  if all || gate || pick = "sparse_arena" then sparse_arena_bench ();
   if all || gate || pick = "serve" then serve_bench ~quick ~jobs ();
   if all || pick = "micro" then micro ~quick ();
   write_results ~quick ~jobs ~seconds:(Unix.gettimeofday () -. t0);

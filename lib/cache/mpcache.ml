@@ -115,34 +115,36 @@ let pingpong_score l =
 let lost_never = 0
 let lost_evicted = -1
 
-(* The simulator state is array-dense, indexed by block id over the
-   layout's contiguous arena.  Fields touched by the same protocol step
-   are interleaved so one reference lands on one cache line, not three:
+(* The simulator state lives in flat int arrays indexed by the slot that
+   each block is handed at its first touch.  One int per block of the
+   arena, [slot] (0 until the block is first touched, else its slot + 1),
+   is the only array sized by the arena; every other per-block table is
+   sized by the touched blocks and doubled as slots run out, so a padded
+   layout whose arena is mostly untouched costs one int per block and no
+   more.  Fields touched by the same protocol step are interleaved so one
+   reference lands on one cache line, not three:
 
-   - per (block, proc) entry state is a (state, lost, last_use, slot)
-     quad at element index [4 * (b * nprocs + p)] — 32 bytes, so two
-     entries per cache line;
-   - per-block coherence state is a (sharer mask, owner, last_writer)
-     triple at [3 * b], and the word-level write history a
-     (writer, time) pair at [2 * (b * words_per_block + w)];
-   - LRU sets are fixed [assoc]-wide slot arrays per (proc, set),
-     updated in place (free slots hold -1); each resident entry's
-     [slot] field caches its absolute index into [slots], making
-     invalidation-time removal O(1).
+   - per (slot, proc) entry state is a (state, lost, last_use, way) quad
+     at element index [4 * (s * nprocs + p)] — 32 bytes, so two entries
+     per cache line;
+   - per-slot coherence state is a (sharer mask, owner, last_writer)
+     triple at [3 * s], and the word-level write history a (writer, time)
+     pair at [2 * (s * words_per_block + w)];
+   - LRU sets are fixed [assoc]-wide arrays of resident slots per (proc,
+     set), updated in place (free ways hold -1); the set comes from the
+     real block address, so conflicts are those of the real layout.  Each
+     resident entry's [way] field caches its absolute index into [ways],
+     making invalidation-time removal O(1).
 
    Owners and writers are stored as [proc + 1] with 0 meaning none, so
    every growable array zero-fills and growth is a single blit.
 
-   The optional per-block counts and line lifetimes are slot-indexed:
-   a dense [slot] array (one int per block, 0 until the block is first
-   touched, else its slot + 1) hands out slots in first-touch order,
-   and compact per-slot tables, doubled as slots run out, hold
-   [counts_stride] counters in {!counts} field order, [line_stride]
-   lifetime ints (writers as [proc + 1]) and one writer mask per word.
-   Only touched blocks pay for the tables; the slot array costs one
-   int per block.  Nothing on the access path allocates, with or
-   without these two, except the blame pair flows, which stay
-   hash-based (a key per invalidation) since only Blame reads them. *)
+   The optional per-block counts and line lifetimes are per-slot tables
+   as well: [counts_stride] counters in {!counts} field order,
+   [line_stride] lifetime ints (writers as [proc + 1]) and one writer
+   mask per word.  Nothing on the access path allocates, with or without
+   these two, except the blame pair flows, which stay hash-based (a key
+   per invalidation, by real block) since only Blame reads them. *)
 type t = {
   cfg : config;
   nsets : int;
@@ -152,25 +154,25 @@ type t = {
   word_mask : int;          (* block - 1 *)
   set_mask : int;           (* nsets - 1 when nsets is a power of two, else 0 *)
   words : int;              (* words per block *)
-  mutable cap : int;        (* block ids currently backed by the arrays *)
-  (* per (block, proc): state (0 = I, 1 = S, 2 = M), lost, last_use,
-     and the absolute [slots] index while resident *)
+  mutable cap : int;        (* block ids the slot index covers *)
+  mutable slot : int array; (* per block: slot + 1, or 0 while untouched *)
+  mutable nslots : int;
+  mutable scap : int;       (* slots the per-slot tables can hold *)
+  (* per (slot, proc): state (0 = I, 1 = S, 2 = M), lost, last_use,
+     and the absolute [ways] index while resident *)
   mutable ent : int array;
-  (* per block: sharer mask (bit p: p holds a valid copy), owner + 1,
+  (* per slot: sharer mask (bit p: p holds a valid copy), owner + 1,
      last_writer + 1 *)
   mutable blk : int array;
-  (* per (block, word): last writing processor + 1, time of that write *)
+  (* per (slot, word): last writing processor + 1, time of that write *)
   mutable wrd : int array;
   (* per (proc, set, way), stride nsets * assoc per proc *)
-  slots : int array;          (* resident block id, or -1 *)
+  ways : int array;           (* resident slot, or -1 *)
   totals : counts;
   per_proc : counts array;
   track_blocks : bool;
   track_lines : bool;
   tracking : bool;          (* track_blocks || track_lines *)
-  mutable slot : int array;   (* per block: slot + 1, or 0; [||] untracked *)
-  mutable nslots : int;
-  mutable scap : int;         (* slots the compact tables can hold *)
   mutable bcounts : int array;  (* per slot, [counts_stride] counters *)
   mutable lstate : int array;   (* per slot, [line_stride] lifetime ints *)
   mutable lwords : int array;   (* per (slot, word): writer mask *)
@@ -195,6 +197,11 @@ let l_max_run = 9
 let l_ichain = 10      (* current invalidating-write streak *)
 let l_max_ichain = 11
 
+(* The per-slot tables start with room for this many blocks (or the
+   whole arena, when smaller): every arena of the fixed workloads at
+   their experiment scales fits, so only sparse padded layouts grow. *)
+let initial_slots = 4096
+
 let create ?(track_blocks = false) ?(track_pairs = false)
     ?(track_lines = false) ?max_addr (cfg : config) =
   if not (Align.is_power_of_two cfg.block) || cfg.block < word_size then
@@ -213,7 +220,7 @@ let create ?(track_blocks = false) ?(track_pairs = false)
     | _ -> 1024
   in
   let tracking = track_blocks || track_lines in
-  let scap = 64 in
+  let scap = min cap initial_slots in
   let table on stride = if on then Array.make (scap * stride) 0 else [||] in
   {
     cfg;
@@ -225,18 +232,18 @@ let create ?(track_blocks = false) ?(track_pairs = false)
     set_mask = (if Align.is_power_of_two nsets then nsets - 1 else 0);
     words;
     cap;
-    ent = Array.make (cap * cfg.nprocs * 4) 0;
-    blk = Array.make (cap * 3) 0;
-    wrd = Array.make (cap * words * 2) 0;
-    slots = Array.make (cfg.nprocs * nsets * cfg.assoc) (-1);
+    slot = Array.make cap 0;
+    nslots = 0;
+    scap;
+    ent = Array.make (scap * cfg.nprocs * 4) 0;
+    blk = Array.make (scap * 3) 0;
+    wrd = Array.make (scap * words * 2) 0;
+    ways = Array.make (cfg.nprocs * nsets * cfg.assoc) (-1);
     totals = zero_counts ();
     per_proc = Array.init cfg.nprocs (fun _ -> zero_counts ());
     track_blocks;
     track_lines;
     tracking;
-    slot = (if tracking then Array.make cap 0 else [||]);
-    nslots = 0;
-    scap;
     bcounts = table track_blocks counts_stride;
     lstate = table track_lines line_stride;
     lwords = table track_lines words;
@@ -246,44 +253,63 @@ let create ?(track_blocks = false) ?(track_pairs = false)
 
 let config t = t.cfg
 
-(* Double the backing arrays until block id [b] fits; strides are fixed
-   and zero means "empty" everywhere, so old contents move with a single
-   blit per array. *)
+(* [extend old ~len stride] is [old] copied into a zero-filled array of
+   [len * stride] elements; strides are fixed and zero means "empty"
+   everywhere, so old contents move with a single blit.  Tables that are
+   off ([||]) stay off. *)
+let extend old ~len stride =
+  if Array.length old = 0 then old
+  else begin
+    let bigger = Array.make (len * stride) 0 in
+    Array.blit old 0 bigger 0 (Array.length old);
+    bigger
+  end
+
+(* Double the slot index until block id [b] fits. *)
 let grow t b =
   let cap = ref t.cap in
   while b >= !cap do
     cap := !cap * 2
   done;
-  let cap = !cap in
-  let extend stride old =
-    let bigger = Array.make (cap * stride) 0 in
-    Array.blit old 0 bigger 0 (t.cap * stride);
-    bigger
-  in
-  t.ent <- extend (t.nprocs * 4) t.ent;
-  t.blk <- extend 3 t.blk;
-  t.wrd <- extend (t.words * 2) t.wrd;
-  if t.tracking then t.slot <- extend 1 t.slot;
-  t.cap <- cap
+  t.slot <- extend t.slot ~len:!cap 1;
+  t.cap <- !cap
+
+(* Hand block [b] the next slot, doubling the per-slot tables when they
+   are full. *)
+let new_slot t b =
+  if t.nslots = t.scap then begin
+    let len = t.scap * 2 in
+    t.ent <- extend t.ent ~len (t.nprocs * 4);
+    t.blk <- extend t.blk ~len 3;
+    t.wrd <- extend t.wrd ~len (t.words * 2);
+    t.bcounts <- extend t.bcounts ~len counts_stride;
+    t.lstate <- extend t.lstate ~len line_stride;
+    t.lwords <- extend t.lwords ~len t.words;
+    t.scap <- len
+  end;
+  let s = t.nslots in
+  t.nslots <- s + 1;
+  Array.unsafe_set t.slot b (s + 1);
+  s
 
 let set_index t b =
   if t.set_mask <> 0 then b land t.set_mask else b mod t.nsets
 
-(* Remove [victim]'s copy because a write by [src] invalidated it.
-   [cause] distinguishes upgrades (write hits on a Shared copy) from
-   outright write misses, for the blame matrix.  The victim holds a
-   valid copy (it is in the sharer mask), so its cached slot index is
-   current and the LRU removal is a single store. *)
-let invalidate t b ~src ~victim ~cause =
-  let e = ((b * t.nprocs) + victim) * 4 in
+(* Remove [victim]'s copy of block [b] (slot [s]) because a write by
+   [src] invalidated it.  [cause] distinguishes upgrades (write hits on a
+   Shared copy) from outright write misses, for the blame matrix.  The
+   victim holds a valid copy (it is in the sharer mask), so its cached
+   way index is current and the LRU removal is a single store. *)
+let invalidate t b s ~src ~victim ~cause =
+  let e = ((s * t.nprocs) + victim) * 4 in
   Array.unsafe_set t.ent e 0;
   Array.unsafe_set t.ent (e + 1) t.time;
-  let b3 = b * 3 in
-  let m = Array.unsafe_get t.blk b3 in
-  Array.unsafe_set t.blk b3 (m land lnot (1 lsl victim));
-  if Array.unsafe_get t.blk (b3 + 1) = victim + 1 then
-    Array.unsafe_set t.blk (b3 + 1) 0;
-  Array.unsafe_set t.slots (Array.unsafe_get t.ent (e + 3)) (-1);
+  let s3 = s * 3 in
+  let m = Array.unsafe_get t.blk s3 in
+  Array.unsafe_set t.blk s3 (m land lnot (1 lsl victim));
+  if Array.unsafe_get t.blk (s3 + 1) = victim + 1 then
+    Array.unsafe_set t.blk (s3 + 1) 0;
+  Array.unsafe_set t.ways (Array.unsafe_get t.ent (e + 3)) (-1);
   (* the caller batches [totals.invalidations] over all victims, and
      the per-block count is taken from the packed outcome *)
   let c = t.per_proc.(victim) in
@@ -304,15 +330,15 @@ let invalidate t b ~src ~victim ~cause =
      | `Upgrade -> f.by_upgrade <- f.by_upgrade + 1
      | `Wmiss -> f.by_miss <- f.by_miss + 1)
 
-let invalidate_others t b ~keep ~cause =
-  let mask = t.blk.(b * 3) land lnot (1 lsl keep) in
+let invalidate_others t b s ~keep ~cause =
+  let mask = t.blk.(s * 3) land lnot (1 lsl keep) in
   (* walk the sharer mask, stopping after its highest set bit *)
   let n = ref 0 in
   let m = ref mask in
   let q = ref 0 in
   while !m <> 0 do
     if !m land 1 <> 0 then begin
-      invalidate t b ~src:keep ~victim:!q ~cause;
+      invalidate t b s ~src:keep ~victim:!q ~cause;
       incr n
     end;
     m := !m lsr 1;
@@ -321,44 +347,44 @@ let invalidate_others t b ~keep ~cause =
   if !n > 0 then t.totals.invalidations <- t.totals.invalidations + !n;
   !n
 
-(* Make room in [proc]'s set for block [b] and insert it.  The LRU victim
-   is unique: [last_use] times are distinct access times, so the scan
-   order cannot change which block is evicted. *)
-let install t ~proc b =
+(* Make room in [proc]'s set for block [b] (slot [s]) and insert it.  The
+   LRU victim is unique: [last_use] times are distinct access times, so
+   the scan order cannot change which block is evicted. *)
+let install t ~proc b s =
   let base = ((proc * t.nsets) + set_index t b) * t.assoc in
   let free = ref (-1) in
   let victim_i = ref (-1) in
   let victim_lu = ref max_int in
   for i = 0 to t.assoc - 1 do
-    let b' = Array.unsafe_get t.slots (base + i) in
-    if b' < 0 then begin
+    let s' = Array.unsafe_get t.ways (base + i) in
+    if s' < 0 then begin
       if !free < 0 then free := i
     end
     else begin
-      let lu = Array.unsafe_get t.ent ((((b' * t.nprocs) + proc) * 4) + 2) in
+      let lu = Array.unsafe_get t.ent ((((s' * t.nprocs) + proc) * 4) + 2) in
       if lu < !victim_lu then begin
         victim_lu := lu;
         victim_i := i
       end
     end
   done;
-  let si =
+  let wi =
     if !free >= 0 then base + !free
     else begin
-      let vb = Array.unsafe_get t.slots (base + !victim_i) in
-      let ve = ((vb * t.nprocs) + proc) * 4 in
+      let vs = Array.unsafe_get t.ways (base + !victim_i) in
+      let ve = ((vs * t.nprocs) + proc) * 4 in
       Array.unsafe_set t.ent ve 0;
       Array.unsafe_set t.ent (ve + 1) lost_evicted;
-      let vb3 = vb * 3 in
-      t.blk.(vb3) <- t.blk.(vb3) land lnot (1 lsl proc);
-      if t.blk.(vb3 + 1) = proc + 1 then t.blk.(vb3 + 1) <- 0;
+      let vs3 = vs * 3 in
+      t.blk.(vs3) <- t.blk.(vs3) land lnot (1 lsl proc);
+      if t.blk.(vs3 + 1) = proc + 1 then t.blk.(vs3 + 1) <- 0;
       base + !victim_i
     end
   in
-  Array.unsafe_set t.slots si b;
-  Array.unsafe_set t.ent ((((b * t.nprocs) + proc) * 4) + 3) si
+  Array.unsafe_set t.ways wi s;
+  Array.unsafe_set t.ent ((((s * t.nprocs) + proc) * 4) + 3) wi
 
-(* [e] is the entry triple's base index, [w2] the word pair's. *)
+(* [e] is the entry quad's base index, [w2] the word pair's. *)
 let classify_miss t ~proc ~w2 e =
   let lost = Array.unsafe_get t.ent (e + 1) in
   if lost = lost_never then Cold
@@ -370,12 +396,12 @@ let classify_miss t ~proc ~w2 e =
       True_sharing
     else False_sharing
 
-let provider_of t b3 =
-  let o = Array.unsafe_get t.blk (b3 + 1) - 1 in
+let provider_of t s3 =
+  let o = Array.unsafe_get t.blk (s3 + 1) - 1 in
   if o >= 0 then o
   else
-    let lw = Array.unsafe_get t.blk (b3 + 2) - 1 in
-    if lw >= 0 && Array.unsafe_get t.blk b3 land (1 lsl lw) <> 0 then lw
+    let lw = Array.unsafe_get t.blk (s3 + 2) - 1 in
+    if lw >= 0 && Array.unsafe_get t.blk s3 land (1 lsl lw) <> 0 then lw
     else -1
 
 let bump_kind c = function
@@ -394,41 +420,14 @@ let kind_code = function
   | True_sharing -> 4
   | False_sharing -> 5
 
-(* Hand block [b] the next slot, doubling the compact tables when they
-   are full. *)
-let new_slot t b =
-  if t.nslots = t.scap then begin
-    let scap = t.scap * 2 in
-    let extend stride old =
-      if Array.length old = 0 then old
-      else begin
-        let bigger = Array.make (scap * stride) 0 in
-        Array.blit old 0 bigger 0 (t.scap * stride);
-        bigger
-      end
-    in
-    t.bcounts <- extend counts_stride t.bcounts;
-    t.lstate <- extend line_stride t.lstate;
-    t.lwords <- extend t.words t.lwords;
-    t.scap <- scap
-  end;
-  let s = t.nslots in
-  t.nslots <- s + 1;
-  Array.unsafe_set t.slot b (s + 1);
-  s
-
-(* The tracking step for one reference to block [b], after the protocol
-   has acted on it and packed its outcome into [raw].  Every copy a
-   write destroys is a copy of [b], so [raw lsr 12] is also the block's
-   invalidation count.  Indices are in range: [b < cap] (the caller
-   grew the arrays), slots are below [scap], [proc < nprocs]. *)
+(* The tracking step for one reference to the block in slot [s], after
+   the protocol has acted on it and packed its outcome into [raw].  Every
+   copy a write destroys is a copy of that block, so [raw lsr 12] is also
+   the block's invalidation count.  Indices are in range: [s < scap],
+   [proc < nprocs]. *)
 let incr_at a i = Array.unsafe_set a i (Array.unsafe_get a i + 1)
 
-let track t ~proc ~write ~addr b raw =
-  let s =
-    let s1 = Array.unsafe_get t.slot b in
-    if s1 > 0 then s1 - 1 else new_slot t b
-  in
+let track t ~proc ~write ~addr s raw =
   let invalidated = raw lsr 12 in
   if t.track_blocks then begin
     let a = t.bcounts in
@@ -483,14 +482,19 @@ let track t ~proc ~write ~addr b raw =
 
 let access_raw t ~proc ~write ~addr =
   (* one range check up front licenses the unsafe array accesses below:
-     every index is then [b * stride + k] with [b < cap] (after [grow]),
-     [proc < nprocs], [word < words] by construction *)
+     every index is then [s * stride + k] with [s < scap] (after
+     [new_slot]), [proc < nprocs], [word < words] by construction, and
+     [b < cap] after [grow] *)
   if proc < 0 || proc >= t.nprocs || addr < 0 then
     invalid_arg "Mpcache.access: processor id or address out of range";
   t.time <- t.time + 1;
   let b = addr lsr t.block_shift in
   if b >= t.cap then grow t b;
-  let e = ((b * t.nprocs) + proc) * 4 in
+  let s =
+    let s1 = Array.unsafe_get t.slot b in
+    if s1 > 0 then s1 - 1 else new_slot t b
+  in
+  let e = ((s * t.nprocs) + proc) * 4 in
   let pp = Array.unsafe_get t.per_proc proc in
   (if write then begin
      t.totals.writes <- t.totals.writes + 1;
@@ -502,12 +506,12 @@ let access_raw t ~proc ~write ~addr =
    end);
   let raw =
     if write then begin
-      let w2 = ((b * t.words) + ((addr land t.word_mask) lsr 2)) * 2 in
-      let b3 = b * 3 in
+      let w2 = ((s * t.words) + ((addr land t.word_mask) lsr 2)) * 2 in
+      let s3 = s * 3 in
       let note_write () =
         Array.unsafe_set t.wrd w2 (proc + 1);
         Array.unsafe_set t.wrd (w2 + 1) t.time;
-        Array.unsafe_set t.blk (b3 + 2) (proc + 1)
+        Array.unsafe_set t.blk (s3 + 2) (proc + 1)
       in
       match Array.unsafe_get t.ent e with
       | 2 ->
@@ -516,24 +520,24 @@ let access_raw t ~proc ~write ~addr =
         0
       | 1 ->
         (* write hit on a shared copy: upgrade, invalidating other sharers *)
-        let invalidated = invalidate_others t b ~keep:proc ~cause:`Upgrade in
+        let invalidated = invalidate_others t b s ~keep:proc ~cause:`Upgrade in
         Array.unsafe_set t.ent e 2;
         Array.unsafe_set t.ent (e + 2) t.time;
-        Array.unsafe_set t.blk (b3 + 1) (proc + 1);
+        Array.unsafe_set t.blk (s3 + 1) (proc + 1);
         note_write ();
         t.totals.upgrades <- t.totals.upgrades + 1;
         pp.upgrades <- pp.upgrades + 1;
         1 lor (invalidated lsl 12)
       | _ ->
         let kind = classify_miss t ~proc ~w2 e in
-        let provider = provider_of t b3 in
-        let invalidated = invalidate_others t b ~keep:proc ~cause:`Wmiss in
-        install t ~proc b;
+        let provider = provider_of t s3 in
+        let invalidated = invalidate_others t b s ~keep:proc ~cause:`Wmiss in
+        install t ~proc b s;
         Array.unsafe_set t.ent e 2;
         Array.unsafe_set t.ent (e + 1) lost_never;
         Array.unsafe_set t.ent (e + 2) t.time;
-        Array.unsafe_set t.blk b3 (Array.unsafe_get t.blk b3 lor (1 lsl proc));
-        Array.unsafe_set t.blk (b3 + 1) (proc + 1);
+        Array.unsafe_set t.blk s3 (Array.unsafe_get t.blk s3 lor (1 lsl proc));
+        Array.unsafe_set t.blk (s3 + 1) (proc + 1);
         note_write ();
         bump_kind t.totals kind;
         bump_kind pp kind;
@@ -545,27 +549,27 @@ let access_raw t ~proc ~write ~addr =
         Array.unsafe_set t.ent (e + 2) t.time;
         0
       | _ ->
-        let w2 = ((b * t.words) + ((addr land t.word_mask) lsr 2)) * 2 in
-        let b3 = b * 3 in
+        let w2 = ((s * t.words) + ((addr land t.word_mask) lsr 2)) * 2 in
+        let s3 = s * 3 in
         let kind = classify_miss t ~proc ~w2 e in
-        let provider = provider_of t b3 in
+        let provider = provider_of t s3 in
         (* a modified copy elsewhere is downgraded to shared *)
-        let o = Array.unsafe_get t.blk (b3 + 1) - 1 in
+        let o = Array.unsafe_get t.blk (s3 + 1) - 1 in
         if o >= 0 then begin
-          Array.unsafe_set t.ent (((b * t.nprocs) + o) * 4) 1;
-          Array.unsafe_set t.blk (b3 + 1) 0
+          Array.unsafe_set t.ent (((s * t.nprocs) + o) * 4) 1;
+          Array.unsafe_set t.blk (s3 + 1) 0
         end;
-        install t ~proc b;
+        install t ~proc b s;
         Array.unsafe_set t.ent e 1;
         Array.unsafe_set t.ent (e + 1) lost_never;
         Array.unsafe_set t.ent (e + 2) t.time;
-        Array.unsafe_set t.blk b3 (Array.unsafe_get t.blk b3 lor (1 lsl proc));
+        Array.unsafe_set t.blk s3 (Array.unsafe_get t.blk s3 lor (1 lsl proc));
         bump_kind t.totals kind;
         bump_kind pp kind;
         kind_code kind lor ((provider + 1) lsl 3)
     end
   in
-  if t.tracking then track t ~proc ~write ~addr b raw;
+  if t.tracking then track t ~proc ~write ~addr s raw;
   raw
 
 let touch t ~proc ~write ~addr = ignore (access_raw t ~proc ~write ~addr : int)
@@ -658,9 +662,10 @@ let lines t =
 
 let state_of t ~proc ~addr =
   let b = addr lsr t.block_shift in
-  if b >= t.cap then `Invalid
+  let s1 = if b >= t.cap then 0 else t.slot.(b) in
+  if s1 = 0 then `Invalid
   else
-    match t.ent.(((b * t.nprocs) + proc) * 4) with
+    match t.ent.((((s1 - 1) * t.nprocs) + proc) * 4) with
     | 2 -> `Modified
     | 1 -> `Shared
     | _ -> `Invalid

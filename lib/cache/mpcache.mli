@@ -134,19 +134,23 @@ val create :
   ?max_addr:int ->
   config ->
   t
-(** The simulator state is array-dense, indexed by block id over the
-    address arena.  [max_addr] presizes the arrays for an arena of that
-    many bytes (pass {!Fs_layout.Layout.size} of the replayed layout);
-    without it the arrays start small and grow by doubling as higher
-    addresses appear.
+(** The simulator state is indexed by a dense slot that each block gets
+    at its first touch, so it costs what the touched blocks need, however
+    sparse the address arena.  [max_addr] sizes the one array that spans
+    the arena, the block -> slot index (one int per block; pass
+    {!Fs_layout.Layout.size} of the replayed layout), and the per-slot
+    tables start with room for that many blocks up to 4096, doubling as
+    more are touched.  Without it the index starts at 1024 blocks and
+    grows by doubling as higher addresses appear.  Sets are still chosen
+    by the real block address, so conflict and capacity misses are those
+    of the layout.
 
-    [~track_blocks] and [~track_lines] add one int per block of the
-    arena plus compact per-block tables for the blocks actually touched
-    (8 counters, 12 lifetime ints and one writer mask per word), filled
-    in one step after the protocol; the per-reference path stays
-    allocation-free with them on, at close to untracked cost.
-    [~track_pairs] keeps a hashtable keyed by (block, writer, victim)
-    and allocates on every invalidation. *)
+    [~track_blocks] and [~track_lines] add per-slot tables (8 counters,
+    12 lifetime ints and one writer mask per word), filled in one step
+    after the protocol; the per-reference path stays allocation-free
+    with them on, at close to untracked cost.  [~track_pairs] keeps a
+    hashtable keyed by (block, writer, victim) and allocates on every
+    invalidation. *)
 
 val config : t -> config
 

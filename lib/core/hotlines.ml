@@ -80,11 +80,13 @@ let verdict_and_fix report var (l : Mpcache.line) (c : Mpcache.counts) =
   (verdict, fix)
 
 let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
-    ?recorded prog plan ~nprocs ~block =
+    ?recorded ?layout prog plan ~nprocs ~block =
   let recorded =
     match recorded with Some r -> r | None -> Sim.record ?sched prog ~nprocs
   in
-  let layout = Layout.realize prog plan ~block in
+  let layout =
+    match layout with Some l -> l | None -> Layout.realize prog plan ~block
+  in
   let cache =
     Mpcache.create ~track_blocks:true ~track_lines:true
       ~max_addr:(Layout.size layout)

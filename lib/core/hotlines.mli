@@ -47,6 +47,7 @@ val analyze :
   ?top:int ->
   ?sched:Fs_sched.Sched.config ->
   ?recorded:Sim.recorded ->
+  ?layout:Fs_layout.Layout.t ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   nprocs:int ->
@@ -54,7 +55,7 @@ val analyze :
   t
 (** Replay (recording a fresh execution when [recorded] is omitted) with
     block and line tracking on, and rank the lines.  [top] defaults
-    to 10. *)
+    to 10.  [layout], when given, must be [plan] realized at [block]. *)
 
 val render : t -> string
 (** Ranked table plus migration histogram bars. *)

@@ -18,11 +18,13 @@ type cache_run = {
 }
 
 let cache_sim ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(track_blocks = false)
-    ?flight ?sched ?recorded prog plan ~nprocs ~block =
+    ?flight ?sched ?recorded ?layout prog plan ~nprocs ~block =
   let recorded =
     match recorded with Some r -> r | None -> record ?sched prog ~nprocs
   in
-  let layout = Layout.realize prog plan ~block in
+  let layout =
+    match layout with Some l -> l | None -> Layout.realize prog plan ~block
+  in
   let cache =
     Mpcache.create ~track_blocks ~max_addr:(Layout.size layout)
       { Mpcache.nprocs; block; cache_bytes; assoc }

@@ -37,6 +37,7 @@ val cache_sim :
   ?flight:Fs_replay.Flight.t ->
   ?sched:Fs_sched.Sched.config ->
   ?recorded:recorded ->
+  ?layout:Fs_layout.Layout.t ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   nprocs:int ->
@@ -45,6 +46,8 @@ val cache_sim :
 (** Trace-driven simulation of the paper's Section 4 architecture
     (32 KB 4-way L1 per processor unless overridden, infinite L2).
     [recorded] must come from the same program at the same [nprocs].
+    [layout], when given, must be [plan] realized at [block]; it spares
+    a caller that already holds it a second realization.
     The replay runs the fused loop ({!Fs_replay.Replay.simulate}), with
     or without [track_blocks].  [flight] attaches a {!Fs_replay.Flight}
     recorder to that loop. *)

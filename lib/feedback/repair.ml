@@ -146,6 +146,12 @@ let infer_partition prog (h : Hotlines.t) layout var ty =
   | Ast.Array (elt_ty, d0) -> (
     let cells_per_outer = Cells.count prog elt_ty in
     let ncells = cells_per_outer * d0 in
+    (* a tracked line holds at most [block / word_size] cells, so when the
+       hot lines cannot cover half the array, the [2 * known < ncells]
+       test below fails whatever the masks say: skip building them *)
+    if 2 * List.length h.hot * (h.Hotlines.block / Ast.word_size) < ncells
+    then None
+    else
     let masks = cell_masks h layout var ncells in
     let known =
       Array.fold_left (fun n m -> if m >= 0 then n + 1 else n) 0 masks
@@ -193,10 +199,10 @@ let indirect_fields prog (h : Hotlines.t) sname =
       | _ -> None)
     s.Ast.fields
 
-let score_candidate opts prog plan ~block ~base_bytes c =
+let score_candidate opts ~realize plan ~block ~base_bytes c =
   match
     try
-      let bytes = Layout.size (Layout.realize prog (apply plan c) ~block) in
+      let bytes = Layout.size (realize (apply plan c)) in
       Some ((bytes - base_bytes) / block)
     with Plan.Plan_error _ -> None
   with
@@ -209,9 +215,10 @@ let score_candidate opts prog plan ~block ~base_bytes c =
     in
     Some { c with space_blocks = blocks; score }
 
-let extract ?(options = default_options) prog plan (h : Hotlines.t) =
+(* [realize p] is [p]'s layout at the diagnosis's block size. *)
+let extract_with ~realize options prog plan (h : Hotlines.t) =
   let block = h.Hotlines.block in
-  let layout = Layout.realize prog plan ~block in
+  let layout = realize plan in
   let base_bytes = Layout.size layout in
   let claimed = Plan.transformed_vars plan in
   let is_claimed v = List.mem v claimed in
@@ -365,7 +372,7 @@ let extract ?(options = default_options) prog plan (h : Hotlines.t) =
         end)
     owners;
   List.rev !raw
-  |> List.filter_map (score_candidate options prog plan ~block ~base_bytes)
+  |> List.filter_map (score_candidate options ~realize plan ~block ~base_bytes)
   |> List.sort (fun a b ->
          let c = compare b.score a.score in
          if c <> 0 then c
@@ -377,9 +384,32 @@ let extract ?(options = default_options) prog plan (h : Hotlines.t) =
              if c <> 0 then c
              else compare (candidate_label a) (candidate_label b))
 
+let extract ?(options = default_options) prog plan (h : Hotlines.t) =
+  extract_with options prog plan h ~realize:(fun p ->
+      Layout.realize prog p ~block:h.Hotlines.block)
+
 (* ------------------------------------------------------------------ *)
 (* The refinement loop                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* [Layout.realize prog _ ~block], each distinct plan realized once,
+   under a "realize" span naming the plan: a refinement diagnoses,
+   scores and evaluates the same plans, and a padded layout of a large
+   array costs as much to realize as to replay.  Failures are not kept;
+   they raise again. *)
+let memo_realize prog ~block =
+  let seen = ref [] in
+  fun plan ->
+    match List.assoc_opt plan !seen with
+    | Some layout -> layout
+    | None ->
+      let layout =
+        Fs_obs.Span.timed "realize"
+          ~attrs:[ ("plan", Format.asprintf "%a" Plan.pp plan) ]
+          (fun () -> Layout.realize prog plan ~block)
+      in
+      seen := (plan, layout) :: !seen;
+      layout
 
 type iteration = {
   index : int;
@@ -430,10 +460,11 @@ let refine ?(options = default_options) ?sched ?recorded prog plan0 ~nprocs
   let recorded =
     match recorded with Some r -> r | None -> Sim.record ?sched prog ~nprocs
   in
+  let realize = memo_realize prog ~block in
   let eval plan =
     let run =
       Sim.cache_sim ~cache_bytes:options.cache_bytes ~assoc:options.assoc
-        ~recorded prog plan ~nprocs ~block
+        ~recorded ~layout:(realize plan) prog plan ~nprocs ~block
     in
     Mpcache.copy_counts run.Sim.counts
   in
@@ -452,9 +483,10 @@ let refine ?(options = default_options) ?sched ?recorded prog plan0 ~nprocs
         @@ fun () ->
         let h =
           Hotlines.analyze ~cache_bytes:options.cache_bytes ~assoc:options.assoc
-            ~top:options.top ~recorded prog plan ~nprocs ~block
+            ~top:options.top ~recorded ~layout:(realize plan) prog plan ~nprocs
+            ~block
         in
-        match extract ~options prog plan h with
+        match extract_with ~realize options prog plan h with
         | [] -> `Stop (plan, c, List.rev iters, Exhausted)
         | cands -> (
           (* try candidates best-first against the accept gate: false sharing

@@ -257,10 +257,31 @@ let program c =
 
 exception Bad of error
 
+(* a member the query does not take is refused, not ignored: a misspelled
+   field would otherwise run with its default *)
+let check_known k raws =
+  let takes = List.map (fun s -> s.name) (fields k) in
+  match List.find_opt (fun (n, _) -> not (List.mem n takes)) raws with
+  | None -> ()
+  | Some (n, _) ->
+    let hint =
+      match Fs_util.Strdist.suggest n takes with
+      | [] -> ""
+      | near ->
+        " (did you mean " ^ String.concat " or " (List.map (Printf.sprintf "%S") near) ^ "?)"
+    in
+    raise
+      (Bad
+         { kind = Usage; field = Some (n, n);
+           msg =
+             Printf.sprintf "unknown field%s; %s takes %s" hint (name k)
+               (String.concat ", " takes) })
+
 let of_fields (k : kind) raws =
   let ok = function Ok v -> v | Error e -> raise (Bad e) in
   let get f = ok (resolve f (Some k) (List.assoc_opt f.spec.name raws)) in
   try
+    check_known k raws;
     let nprocs = get F.nprocs in
     let subject, default_scale =
       match (List.mem_assoc "workload" raws, List.mem_assoc "source" raws) with

@@ -78,8 +78,9 @@ val sched :
     spawns tasks and no seed was given. *)
 
 val of_fields : kind -> (string * raw) list -> (t, error) Stdlib.result
-(** Validate and default raw values by name; names the query does not
-    take are ignored. *)
+(** Validate and default raw values by name.  A name the query does not
+    take is a usage error that lists the fields it takes, with the
+    nearest ones as a suggestion. *)
 
 val of_json : kind -> Fs_obs.Json.t -> (t, error) Stdlib.result
 (** {!of_fields} over the members of a JSON object. *)

@@ -255,6 +255,115 @@ let test_tracking_matches_oracle =
       && ((not track_blocks) || C.per_block t = Tutil.Oracle.per_block o)
       && ((not track_lines) || C.lines t = Tutil.Oracle.lines o))
 
+(* The reference protocol driven with its invalidation pairs re-derived
+   from its own state: before a write that does not hit a Modified copy,
+   every other processor in the block's sharer mask loses its copy, by
+   upgrade when the writer held the block Shared. *)
+let legacy_with_pairs (cfg : C.config) =
+  let r = Legacy_cache.create cfg in
+  let pairs = Hashtbl.create 16 in
+  let sink ~proc ~write ~addr =
+    (if write then
+       let b = addr / cfg.block in
+       match Hashtbl.find_opt r.Legacy_cache.blocks b with
+       | None -> ()
+       | Some bi ->
+         let mine =
+           match Hashtbl.find_opt r.Legacy_cache.procs.(proc).Legacy_cache.entries b with
+           | Some e -> e.Legacy_cache.state
+           | None -> 0
+         in
+         if mine <> 2 then
+           for q = 0 to cfg.nprocs - 1 do
+             if q <> proc && bi.Legacy_cache.mask land (1 lsl q) <> 0 then begin
+               let u, m = Option.value ~default:(0, 0) (Hashtbl.find_opt pairs (b, proc, q)) in
+               Hashtbl.replace pairs (b, proc, q)
+                 (if mine = 1 then (u + 1, m) else (u, m + 1))
+             end
+           done);
+    Legacy_cache.sink r ~proc ~write ~addr
+  in
+  let pairs () =
+    Hashtbl.fold
+      (fun (block, src, victim) (upgrades, write_misses) acc ->
+        { C.block; src; victim; upgrades; write_misses } :: acc)
+      pairs []
+    |> List.sort (fun (a : C.pair) (b : C.pair) ->
+           compare (a.block, a.src, a.victim) (b.block, b.src, b.victim))
+  in
+  (r, sink, pairs)
+
+(* A sparse arena: a few blocks spread over 4 MB, first touched
+   highest first (so first-touch order is not address order), into a
+   cache with every tracking flag on — unhinted, hinted with the whole
+   arena, and hinted far short of it so the block index grows past the
+   hint.  Counts match the reference protocol; per-block counts, lines
+   and invalidation pairs match the oracle and the pairs re-derived from
+   the reference; a block never touched reads Invalid. *)
+let test_sparse_arena =
+  let gen =
+    QCheck.Gen.(
+      let* nprocs = int_range 1 8 in
+      let* block = oneofl [ 4; 16; 64; 128 ] in
+      let* assoc = int_range 1 4 in
+      let* nsets = oneofl [ 1; 2; 8 ] in
+      let arena = 1 lsl 22 in
+      let* nb = int_range 2 6 in
+      let* blocks = list_repeat nb (int_bound ((arena / block) - 1)) in
+      let blocks = Array.of_list (List.sort_uniq (fun a b -> compare b a) blocks) in
+      let+ ops =
+        list_size (int_range 1 400)
+          (quad (int_range 0 (nprocs - 1)) bool
+             (int_bound (Array.length blocks - 1))
+             (int_bound ((block / 4) - 1)))
+      in
+      (* the highest block first *)
+      let addrs =
+        (0, true, 0, 0) :: ops
+        |> List.map (fun (p, w, i, word) -> (p, w, (blocks.(i) * block) + (4 * word)))
+      in
+      ({ C.nprocs; block; cache_bytes = assoc * nsets * block; assoc }, arena, blocks, addrs))
+  in
+  let print ((cfg : C.config), arena, blocks, ops) =
+    Printf.sprintf "P=%d block=%d cache=%d assoc=%d arena=%d blocks=[%s], %d ops"
+      cfg.nprocs cfg.block cfg.cache_bytes cfg.assoc arena
+      (String.concat ";" (Array.to_list (Array.map string_of_int blocks)))
+      (List.length ops)
+  in
+  QCheck.Test.make ~name:"sparse arena matches the reference and the oracle"
+    ~count:100 (QCheck.make gen ~print)
+    (fun (cfg, arena, blocks, ops) ->
+      let r, legacy_sink, legacy_pairs = legacy_with_pairs cfg in
+      let o = Tutil.Oracle.create (C.create cfg) in
+      List.iter
+        (fun (proc, write, addr) ->
+          legacy_sink ~proc ~write ~addr;
+          Tutil.Oracle.sink o ~proc ~write ~addr)
+        ops;
+      let untouched =
+        (* a block between or beyond the drawn ones *)
+        let rec pick b = if Array.mem b blocks then pick (b + 1) else b in
+        pick (blocks.(Array.length blocks - 1) + 1)
+      in
+      List.for_all
+        (fun max_addr ->
+          let t =
+            C.create ~track_blocks:true ~track_pairs:true ~track_lines:true
+              ?max_addr cfg
+          in
+          List.iter (fun (proc, write, addr) -> C.touch t ~proc ~write ~addr) ops;
+          C.counts t = Legacy_cache.counts r
+          && C.per_block t = Tutil.Oracle.per_block o
+          && C.lines t = Tutil.Oracle.lines o
+          && C.invalidation_pairs t = legacy_pairs ()
+          && List.for_all
+               (fun addr ->
+                 List.for_all
+                   (fun proc -> C.state_of t ~proc ~addr = `Invalid)
+                   (List.init cfg.nprocs Fun.id))
+               [ untouched * cfg.block; arena * 4 ])
+        [ None; Some arena; Some (arena / 64) ])
+
 let test_tracking_off_raises () =
   let t = mk () in
   ignore (wr t 0 0);
@@ -388,4 +497,5 @@ let suite =
     Alcotest.test_case "touch matches access" `Quick test_touch_matches_access;
     Alcotest.test_case "bad config" `Quick test_bad_config;
     QCheck_alcotest.to_alcotest test_merge_associative;
-    QCheck_alcotest.to_alcotest test_merge_order_independent ]
+    QCheck_alcotest.to_alcotest test_merge_order_independent;
+    QCheck_alcotest.to_alcotest test_sparse_arena ]

@@ -235,6 +235,42 @@ let test_repairs_programmer_locks () =
   Alcotest.(check bool) "repair restores pad-locks" true
     (List.mem Plan.Pad_locks r.R.plan)
 
+(* One refinement diagnoses, scores and evaluates each plan it meets,
+   and meets some again: fib's isolate-then-widen path revisits, as the
+   widened plan, the plan an earlier iteration scored as "pad & align
+   each element".  Each distinct plan is realized once. *)
+let test_realizes_each_plan_once () =
+  let w = Ws.find "fib" in
+  let nprocs = 4 in
+  let prog = w.W.build ~nprocs ~scale:8 in
+  let recorded = Sim.record ~sched:(Fs_sched.Sched.seeded 1) prog ~nprocs in
+  let cplan = (T.plan prog ~nprocs).T.plan in
+  let spans = Fs_obs.Span.create () in
+  Fs_obs.Span.set_current (Some spans);
+  let r =
+    Fun.protect ~finally:(fun () -> Fs_obs.Span.set_current None) (fun () ->
+        R.refine ~recorded prog cplan ~nprocs ~block:128)
+  in
+  let widened =
+    List.exists
+      (fun (it : R.iteration) ->
+        match it.R.applied with
+        | Some { R.kind = R.Widen_pad; _ } -> true
+        | _ -> false)
+      r.R.iterations
+  in
+  Alcotest.(check bool) "a widened pad was applied" true widened;
+  let realized =
+    List.filter_map
+      (fun (sp : Fs_obs.Span.span) ->
+        if sp.name = "realize" then List.assoc_opt "plan" sp.attrs else None)
+      (Fs_obs.Span.spans spans)
+  in
+  Alcotest.(check bool) "layouts were realized" true (realized <> []);
+  Alcotest.(check int) "no plan realized twice"
+    (List.length (List.sort_uniq compare realized))
+    (List.length realized)
+
 (* ------------------------------------------------------------------ *)
 (* Semantic transparency of the refined layouts                       *)
 
@@ -296,4 +332,5 @@ let suite =
     Alcotest.test_case "topopt acceptance" `Slow test_topopt_acceptance;
     Alcotest.test_case "repairs programmer locks" `Slow test_repairs_programmer_locks;
     Alcotest.test_case "F layout transparency" `Slow test_f_layout_transparency;
-    Alcotest.test_case "N/C/P/F rows" `Slow test_experiment_rows ]
+    Alcotest.test_case "N/C/P/F rows" `Slow test_experiment_rows;
+    Alcotest.test_case "realizes each plan once" `Slow test_realizes_each_plan_once ]

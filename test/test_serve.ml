@@ -556,14 +556,16 @@ let test_server_unrealizable_plan () =
   Fun.protect
     ~finally:(fun () -> Srv.stop t)
     (fun () ->
-      let q = {|{"workload":"fmm","nprocs":256,"scale":1,"layout":"programmer"}|} in
+      (* /analyze replays every version, so it takes no layout *)
+      let q = {|{"workload":"fmm","nprocs":256,"scale":1}|} in
       List.iter
-        (fun endpoint ->
-          let s, _, b = Http.request ~port ~body:q endpoint in
+        (fun (endpoint, body) ->
+          let s, _, b = Http.request ~port ~body endpoint in
           Alcotest.(check int) (endpoint ^ " status") 400 s;
           Tutil.check_contains (endpoint ^ " names workload, layout and P") b
             "fmm, programmer plan at P=256: ")
-        [ "/analyze"; "/blame" ];
+        [ ("/analyze", q);
+          ("/blame", {|{"workload":"fmm","nprocs":256,"scale":1,"layout":"programmer"}|}) ];
       (* a block size the layout engine cannot realize is refused up
          front, not left to fail inside the replay *)
       let s, _, b =
@@ -692,6 +694,37 @@ let test_server_cli_parity () =
 let test_server_repair_default_top () =
   check_cli_parity [ ("repair", "repair", "locusroute", 8, 1) ]
 
+(* A member the query does not take is a 400 naming it, the nearest
+   field and every field the query takes — not a run with the default
+   (a misspelled "nprocs" used to answer for P=12). *)
+let test_server_unknown_field () =
+  let cache_dir = fresh_dir "unknown" in
+  let cfg =
+    { Srv.default_config with workers = 1; queue_capacity = 4; jobs = 1; cache_dir }
+  in
+  let t = Srv.start cfg in
+  let port = Srv.port t in
+  Fun.protect
+    ~finally:(fun () -> Srv.stop t)
+    (fun () ->
+      let s, _, b =
+        Http.request ~port ~body:{|{"workload":"pverify","nproc":8,"scale":1}|}
+          "/analyze?spans=none"
+      in
+      Alcotest.(check int) "misspelled field" 400 s;
+      List.iter
+        (Tutil.check_contains "names the member, the near miss and the fields" b)
+        [ {|field \"nproc\"|}; {|did you mean \"nprocs\"?|};
+          "analyze takes workload, source, nprocs, scale, block, sched_seed" ];
+      (* a field of another query is unknown here too *)
+      let s, _, b =
+        Http.request ~port
+          ~body:{|{"workload":"pverify","nprocs":4,"scale":1,"top":3}|}
+          "/phases?spans=none"
+      in
+      Alcotest.(check int) "another query's field" 400 s;
+      Tutil.check_contains "names it" b {|field \"top\"|})
+
 let test_server_quitquitquit () =
   let cache_dir = fresh_dir "quit" in
   let t = Srv.start { Srv.default_config with workers = 2; cache_dir } in
@@ -725,4 +758,6 @@ let suite =
     Alcotest.test_case "daemon quitquitquit" `Quick test_server_quitquitquit;
     Alcotest.test_case "daemon result equals CLI --json" `Quick test_server_cli_parity;
     Alcotest.test_case "daemon /repair default top equals CLI" `Quick
-      test_server_repair_default_top ]
+      test_server_repair_default_top;
+    Alcotest.test_case "daemon rejects unknown fields" `Quick
+      test_server_unknown_field ]
